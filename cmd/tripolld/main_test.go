@@ -654,6 +654,66 @@ func TestTrussIndexServedOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSpanTrussArgBoundsOverHTTP: spantruss arguments past their bounds are
+// a 400 naming the bound — whether the traversal's factory rejects them or
+// the maintained index does — and the bounds themselves are served.
+func TestSpanTrussArgBoundsOverHTTP(t *testing.T) {
+	plain, _ := newTestServer(t)
+
+	w := tripoll.NewWorld(2)
+	p := datagen.DefaultRedditParams()
+	p.Events, p.Users = 1500, 250
+	g := tripoll.BuildTemporal(w, datagen.RedditLike(p))
+	eng := tripoll.NewQueryEngine(tripoll.TemporalQueryRegistry(), tripoll.QueryEngineOptions[uint64]{
+		Timestamps: func(ts uint64) uint64 { return ts },
+	})
+	ix := tripoll.NewTrussIndex[tripoll.Unit](minTimestamp)
+	if _, _, err := eng.OpenDurableStreamSinks("default", g, tripoll.StreamOptions[uint64]{MergeEdgeMeta: minTimestamp},
+		tripoll.NewTemporalPlan(), tripoll.DurableStreamOptions{Dir: t.TempDir()},
+		[]tripoll.StreamSink[tripoll.Unit, uint64]{ix}); err != nil {
+		t.Fatalf("OpenDurableStreamSinks: %v", err)
+	}
+	if err := eng.AttachIndex("default", ix); err != nil {
+		t.Fatalf("AttachIndex: %v", err)
+	}
+	indexed := httptest.NewServer(newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{world: w, trussIx: ix}))
+	t.Cleanup(func() { indexed.Close(); eng.Close(); w.Close() })
+
+	spans := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(`{"from":0,"until":9},`, n), ",") + "]"
+	}
+	cases := []struct {
+		name, args string
+		code       int
+	}{
+		{"64 spans", `{"spans":` + spans(64) + `}`, 200},
+		{"k=2147483647", `{"k":2147483647}`, 200},
+		{"65 spans", `{"spans":` + spans(65) + `}`, 400},
+		{"k=2147483648", `{"k":2147483648}`, 400},
+		{"k=1", `{"k":1}`, 400},
+	}
+	for _, srv := range []struct {
+		name        string
+		url         string
+		indexServed bool
+	}{{"traversal", plain.URL, false}, {"index", indexed.URL, true}} {
+		for _, tc := range cases {
+			var st jobStatus
+			code := postJSON(t, srv.url+"/v1/query?wait=1", `{"analysis":"spantruss","nocache":true,"args":`+tc.args+`}`, &st)
+			if code != tc.code {
+				t.Errorf("%s: %s: code=%d, want %d (%+v)", srv.name, tc.name, code, tc.code, st)
+				continue
+			}
+			if code == 400 && !strings.Contains(st.Error, "bad spantruss args") {
+				t.Errorf("%s: %s: error %q does not name the rejection", srv.name, tc.name, st.Error)
+			}
+			if code == 200 && (st.Result == nil || st.Result.IndexServed != srv.indexServed) {
+				t.Errorf("%s: %s: served by the wrong path: %+v", srv.name, tc.name, st.Result)
+			}
+		}
+	}
+}
+
 // TestOverloadShedsWith429: with a tiny admission queue and a scheduler
 // busy on a traversal, submissions overflow and must shed with 429 +
 // Retry-After rather than queue without bound.

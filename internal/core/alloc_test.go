@@ -18,6 +18,8 @@ import (
 // budget has ~3.5× headroom over the measured steady state (~34 allocs for
 // a 64-edge batch on 4 ranks) but sits two orders of magnitude below what
 // a regression to per-message or per-candidate allocation would cost.
+// Core-count independent: testing.AllocsPerRun pins GOMAXPROCS(1) while it
+// measures (20/20 at GOMAXPROCS 1, 2 and 8).
 // Excluded under -race because race instrumentation inserts allocations.
 func TestStreamIngestAllocBudget(t *testing.T) {
 	w := ygm.MustWorld(4, ygm.Options{})

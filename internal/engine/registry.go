@@ -249,8 +249,8 @@ func TemporalRegistry() *Registry[serialize.Unit, uint64] {
 	r.RegisterInfo(AnalysisInfo{
 		Name: "spantruss", Doc: "maximal k-truss per time span (Lotito-style), spans clipped to the query window",
 		Args: []ArgSpec{
-			{Name: "k", Type: "uint", Doc: "which k-truss to report (default 3, min 2)"},
-			{Name: "spans", Type: "[]{from, until}", Doc: "closed time spans to decompose (default: the whole query window)"},
+			{Name: "k", Type: "uint", Doc: "which k-truss to report (default 3, min 2, max 2147483647)"},
+			{Name: "spans", Type: "[]{from, until}", Doc: "closed time spans to decompose (default: the whole query window; at most 64)"},
 		},
 		Result: "{k, spans: []{from, until, size, edges}}",
 	}, func(g *graph.DODGr[U, uint64], spec Spec) (Instance[U, uint64], error) {

@@ -194,12 +194,15 @@ func AblationTruss(cfg Config) *Report {
 			case maintained.queryMsgs != 0:
 				rep.notef("UNEXPECTED: index-served queries moved %d messages on %s/%s, want 0",
 					maintained.queryMsgs, d.Name, mode)
-			case maintained.maintainMsgs+maintained.queryMsgs >= reindex.maintainMsgs+reindex.queryMsgs ||
-				maintained.queryDur >= reindex.queryDur:
-				rep.notef("UNEXPECTED: maintained index did not strictly win on %s/%s: %d→%d total msgs, %s→%s query wall",
+			// Message counts are exact and gate; query wall is reported, not
+			// asserted — with the dense peel both arms take milliseconds at
+			// small scale, and under `go test` every experiment runs
+			// concurrently, so one scheduling stall outweighs the difference.
+			// bench/'s truss-index workload is the wall-clock gate.
+			case maintained.maintainMsgs+maintained.queryMsgs >= reindex.maintainMsgs+reindex.queryMsgs:
+				rep.notef("UNEXPECTED: maintained index did not strictly win on %s/%s: %d→%d total msgs",
 					d.Name, mode,
-					reindex.maintainMsgs+reindex.queryMsgs, maintained.maintainMsgs+maintained.queryMsgs,
-					stats.FormatDuration(reindex.queryDur), stats.FormatDuration(maintained.queryDur))
+					reindex.maintainMsgs+reindex.queryMsgs, maintained.maintainMsgs+maintained.queryMsgs)
 			default:
 				rep.notef("%s/%s: total messages %s→%s (−%.1f%%), query wall %s→%s; memo served %d of %d queries without recompute",
 					d.Name, mode,

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tripoll/internal/serialize"
@@ -166,13 +168,15 @@ func (st *TriSpanStore) EdgesIn(from, until uint64) []serialize.Pair[uint64, uin
 		}
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].First != out[j].First {
-			return out[i].First < out[j].First
-		}
-		return out[i].Second < out[j].Second
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
+}
+
+func comparePairs(a, b serialize.Pair[uint64, uint64]) int {
+	if c := cmp.Compare(a.First, b.First); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Second, b.Second)
 }
 
 // Snapshot codec (TPTI1), in the TPDG2 shard mould: magic + version,
@@ -200,12 +204,7 @@ func (st *TriSpanStore) EncodeSnapshot() []byte {
 	for k := range st.Edges {
 		edges = append(edges, k)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].First != edges[j].First {
-			return edges[i].First < edges[j].First
-		}
-		return edges[i].Second < edges[j].Second
-	})
+	slices.SortFunc(edges, comparePairs)
 	e.PutUvarint(uint64(len(edges)))
 	for _, k := range edges {
 		e.PutUvarint(k.First)

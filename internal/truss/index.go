@@ -293,19 +293,18 @@ func (ix *Index[VM]) cachePut(key string, from, until uint64, val any) {
 	ix.cache[key] = cacheEntry{epoch: ix.epoch, from: from, until: until, val: val}
 }
 
-// decompose peels one window from the store: edges timestamped inside it,
-// seeded with the window's (δ-constrained) bucket sums.
-func (ix *Index[VM]) decompose(wn Window, hasDelta bool, delta uint64) map[analysis.Edge]int {
+// decompose peels one window from the store: edges timestamped inside it
+// (EdgesIn returns them in the kernel's order), seeded with the window's
+// (δ-constrained) bucket sums.
+func (ix *Index[VM]) decompose(wn Window, hasDelta bool, delta uint64) analysis.Trussness {
 	pairs := ix.store.EdgesIn(wn.From, wn.Until)
 	edges := make([]analysis.Edge, len(pairs))
-	counts := make(map[analysis.Edge]uint64, len(pairs))
+	sup := make([]int32, len(pairs))
 	for i, p := range pairs {
 		edges[i] = analysis.Edge{U: p.First, V: p.Second}
-		if c := ix.store.SupportIn(p.First, p.Second, wn.From, wn.Until, hasDelta, delta); c > 0 {
-			counts[edges[i]] = c
-		}
+		sup[i] = analysis.SupportOf(ix.store.SupportIn(p.First, p.Second, wn.From, wn.Until, hasDelta, delta))
 	}
-	return analysis.TrussFromSupports(edges, counts)
+	return analysis.Peel(edges, sup)
 }
 
 // IndexEpoch returns the commit counter; the engine keys its own result
@@ -355,7 +354,7 @@ func (ix *Index[VM]) ServeQuery(name string, args json.RawMessage, from, until, 
 		var sa SpanTrussArgs
 		if len(args) > 0 {
 			if err := json.Unmarshal(args, &sa); err != nil {
-				return nil, true, fmt.Errorf("truss: bad spantruss args: %w", err)
+				return nil, true, fmt.Errorf("%w: %w", ErrBadSpanTrussArgs, err)
 			}
 		}
 		k, spans, err := sa.Normalize(env)

@@ -7,7 +7,7 @@
 // plan-matching triangle into per-edge support counters, the standard
 // reduction merges them, and Finalize (which, per the ClusteringAnalysis
 // precedent, may run collectives) gathers the window's edge set and peels
-// it with analysis.TrussFromSupports. This is Lotito-style span-truss
+// it with analysis.Peel. This is Lotito-style span-truss
 // mining (PAPERS.md): the k-truss of the subgraph induced by a time span,
 // under the plan's closed-window and close-within-δ semantics.
 //
@@ -27,14 +27,16 @@
 //     from ≤ lo ∧ hi ≤ until ∧ (hi − lo ≤ δ when constrained);
 //   - trussness is the peel of that edge set seeded with those supports.
 //
-// With exact window supports the peel equals TrussDecomposition on the
+// With exact window supports the peel equals analysis.Decompose on the
 // window subgraph whenever δ is absent; δ tightens support only, giving
 // the span-constrained-triangle variant.
 package truss
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"tripoll/internal/analysis"
 	"tripoll/internal/core"
@@ -189,52 +191,30 @@ type SpanResult struct {
 	Spans []SpanTruss `json:"spans"`
 }
 
-// sortedEdges returns the decomposition's edges in canonical (U, V) order.
-func sortedEdges(tr map[analysis.Edge]int) []analysis.Edge {
-	out := make([]analysis.Edge, 0, len(tr))
-	for e := range tr {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
+// The outcome builders walk the kernel's dense result, which is already in
+// canonical (U, V) order.
 
-func buildDecomp(tr map[analysis.Edge]int) Decomp {
-	d := Decomp{Edges: make([]EdgeTruss, 0, len(tr))}
-	for _, e := range sortedEdges(tr) {
-		k := tr[e]
-		d.Edges = append(d.Edges, EdgeTruss{U: e.U, V: e.V, K: k})
-		if k > d.Max {
-			d.Max = k
-		}
+func buildDecomp(tr analysis.Trussness) Decomp {
+	d := Decomp{Edges: make([]EdgeTruss, len(tr.Edges)), Max: tr.Max()}
+	for i, e := range tr.Edges {
+		d.Edges[i] = EdgeTruss{U: e.U, V: e.V, K: int(tr.K[i])}
 	}
 	return d
 }
 
-func buildMax(tr map[analysis.Edge]int) MaxResult {
-	m := MaxResult{Sizes: []TrussSize{}}
-	m.Max = analysis.MaxTruss(tr)
-	sizes := analysis.TrussSizes(tr)
-	ks := make([]int, 0, len(sizes))
-	for k := range sizes {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
+func buildMax(tr analysis.Trussness) MaxResult {
+	sizes := tr.Sizes()
+	m := MaxResult{Max: tr.Max(), Sizes: []TrussSize{}}
+	for k := 2; k < len(sizes); k++ {
 		m.Sizes = append(m.Sizes, TrussSize{K: k, Edges: sizes[k]})
 	}
 	return m
 }
 
-func buildSpanTruss(k int, wn Window, tr map[analysis.Edge]int) SpanTruss {
+func buildSpanTruss(k int, wn Window, tr analysis.Trussness) SpanTruss {
 	st := SpanTruss{From: wn.From, Until: wn.Until, Edges: []EdgePair{}}
-	for _, e := range sortedEdges(tr) {
-		if tr[e] >= k {
+	for i, e := range tr.Edges {
+		if int(tr.K[i]) >= k {
 			st.Edges = append(st.Edges, EdgePair{U: e.U, V: e.V})
 		}
 	}
@@ -251,23 +231,39 @@ type SpanTrussArgs struct {
 	Spans []Window `json:"spans"`
 }
 
+// Bounds on spantruss arguments. Every span is one full peel on the
+// serving goroutine, so their number is capped; trussness is an int32 in
+// the kernel, so no edge can reach a larger k.
+const (
+	MaxSpans = 64
+	MaxK     = math.MaxInt32
+)
+
+// ErrBadSpanTrussArgs is wrapped by every rejection of spantruss
+// arguments; tripolld reports it as 400 Bad Request.
+var ErrBadSpanTrussArgs = errors.New("truss: bad spantruss args")
+
 // Normalize validates the arguments against the query envelope, applying
 // defaults. The returned spans preserve input order (they key the result).
+// Rejections wrap ErrBadSpanTrussArgs.
 func (a SpanTrussArgs) Normalize(env Window) (k int, spans []Window, err error) {
 	k = a.K
 	if k == 0 {
 		k = 3
 	}
-	if k < 2 {
-		return 0, nil, fmt.Errorf("truss: k must be ≥ 2 (got %d)", a.K)
+	if k < 2 || k > MaxK {
+		return 0, nil, fmt.Errorf("%w: k must be in [2, %d] (got %d)", ErrBadSpanTrussArgs, MaxK, a.K)
 	}
 	spans = a.Spans
+	if len(spans) > MaxSpans {
+		return 0, nil, fmt.Errorf("%w: %d spans, at most %d allowed", ErrBadSpanTrussArgs, len(spans), MaxSpans)
+	}
 	if len(spans) == 0 {
 		spans = []Window{env}
 	}
 	for i, sp := range spans {
 		if sp.From > sp.Until {
-			return 0, nil, fmt.Errorf("truss: span %d inverted: from %d > until %d", i, sp.From, sp.Until)
+			return 0, nil, fmt.Errorf("%w: span %d inverted: from %d > until %d", ErrBadSpanTrussArgs, i, sp.From, sp.Until)
 		}
 	}
 	return k, spans, nil
@@ -275,11 +271,13 @@ func (a SpanTrussArgs) Normalize(env Window) (k int, spans []Window, err error) 
 
 // edgeTS is one gathered window edge with its timestamp.
 type edgeTS struct {
-	u, v, ts uint64
+	e  analysis.Edge
+	ts uint64
 }
 
 // gatherWindowEdges assembles, identically on every process, the
-// undirected edges of g whose timestamp lies in the window. Each edge is
+// undirected edges of g whose timestamp lies in the window, in the peel's
+// canonical ascending order. Each edge is
 // read once from its <+-source's adjacency (the DODGr stores G⁺, one
 // directed copy per undirected edge), flattened rank-locally and
 // exchanged with one AllGather — the same collective-in-Finalize
@@ -306,29 +304,28 @@ func gatherWindowEdges[VM any](g *graph.DODGr[VM, uint64], win Window) []edgeTS 
 	var out []edgeTS
 	for _, buf := range all {
 		for i := 0; i+3 <= len(buf); i += 3 {
-			out = append(out, edgeTS{u: buf[i], v: buf[i+1], ts: buf[i+2]})
+			out = append(out, edgeTS{e: analysis.Canon(buf[i], buf[i+1]), ts: buf[i+2]})
 		}
 	}
+	slices.SortFunc(out, func(a, b edgeTS) int { return a.e.Compare(b.e) })
 	return out
 }
 
 // spanDecompose peels one span: the gathered edges restricted to the
-// span's window, seeded with the accumulated supports of that span slot.
-func spanDecompose(acc *Accum, span uint32, wn Window, edges []edgeTS) map[analysis.Edge]int {
+// span's window, each seeded with the support accumulated under its
+// (span, edge) key — one lookup per window edge, whatever else the
+// accumulator holds.
+func spanDecompose(acc *Accum, span uint32, wn Window, edges []edgeTS) analysis.Trussness {
 	var in []analysis.Edge
+	var sup []int32
 	for _, e := range edges {
 		if e.ts < wn.From || e.ts > wn.Until {
 			continue
 		}
-		in = append(in, analysis.Canon(e.u, e.v))
+		in = append(in, e.e)
+		sup = append(sup, analysis.SupportOf(acc.Support[SpanEdge{Span: span, U: e.e.U, V: e.e.V}]))
 	}
-	counts := make(map[analysis.Edge]uint64, len(in))
-	for se, n := range acc.Support {
-		if se.Span == span {
-			counts[analysis.Edge{U: se.U, V: se.V}] = n
-		}
-	}
-	return analysis.TrussFromSupports(in, counts)
+	return analysis.Peel(in, sup)
 }
 
 // TrussnessAnalysis computes the per-edge trussness of the window's

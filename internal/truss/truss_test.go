@@ -2,6 +2,7 @@ package truss
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -76,14 +77,14 @@ func buildGraph(w *ygm.World, recs []edgeRec, ord graph.Ordering) *graph.DODGr[s
 
 // serialDecomp is the reference: trussness of the subgraph of live edges
 // timestamped inside the window.
-func serialDecomp(live map[analysis.Edge]uint64, wn Window) map[analysis.Edge]int {
+func serialDecomp(live map[analysis.Edge]uint64, wn Window) analysis.Trussness {
 	var edges []analysis.Edge
 	for e, ts := range live {
 		if ts >= wn.From && ts <= wn.Until {
 			edges = append(edges, e)
 		}
 	}
-	return analysis.TrussDecomposition(edges)
+	return analysis.Decompose(edges)
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -176,5 +177,49 @@ func TestSpanTrussArgsNormalize(t *testing.T) {
 	}
 	if _, _, err := (SpanTrussArgs{Spans: []Window{{From: 5, Until: 2}}}).Normalize(env); err == nil {
 		t.Fatal("inverted span must be rejected")
+	}
+}
+
+// TestSpanTrussArgBounds: the span count and k are bounded before any peel
+// is scheduled, with one typed error, on the path the traversal analyses
+// take (Normalize, ahead of SpanTrussAnalysis) and on the index's.
+func TestSpanTrussArgBounds(t *testing.T) {
+	spans := func(n int) []Window {
+		out := make([]Window, n)
+		for i := range out {
+			out[i] = Window{From: uint64(i), Until: uint64(i) + 10}
+		}
+		return out
+	}
+	tooBig := int64(MaxK) + 1 // wraps negative where int is 32 bits: rejected either way
+	cases := []struct {
+		name string
+		args SpanTrussArgs
+		bad  bool
+	}{
+		{"defaults", SpanTrussArgs{}, false},
+		{"k=2", SpanTrussArgs{K: 2}, false},
+		{"k=MaxK", SpanTrussArgs{K: MaxK}, false},
+		{"MaxSpans spans", SpanTrussArgs{Spans: spans(MaxSpans)}, false},
+		{"k=1", SpanTrussArgs{K: 1}, true},
+		{"k<0", SpanTrussArgs{K: -3}, true},
+		{"k>MaxK", SpanTrussArgs{K: int(tooBig)}, true},
+		{"MaxSpans+1 spans", SpanTrussArgs{Spans: spans(MaxSpans + 1)}, true},
+		{"inverted span", SpanTrussArgs{Spans: []Window{{From: 5, Until: 2}}}, true},
+	}
+	ix := NewIndex[serialize.Unit](IndexOptions{})
+	if _, _, err := ix.ServeQuery("spantruss", []byte(`{"k":"three"}`), nil, nil, nil); !errors.Is(err, ErrBadSpanTrussArgs) {
+		t.Errorf("undecodable args: err = %v, want ErrBadSpanTrussArgs", err)
+	}
+	for _, tc := range cases {
+		_, _, err := tc.args.Normalize(WholeWindow())
+		if tc.bad != errors.Is(err, ErrBadSpanTrussArgs) || tc.bad != (err != nil) {
+			t.Errorf("%s: Normalize err = %v, want rejection %v", tc.name, err, tc.bad)
+		}
+		raw, _ := json.Marshal(tc.args)
+		_, handled, err := ix.ServeQuery("spantruss", raw, nil, nil, nil)
+		if !handled || tc.bad != errors.Is(err, ErrBadSpanTrussArgs) || tc.bad != (err != nil) {
+			t.Errorf("%s: ServeQuery handled=%v err = %v, want rejection %v", tc.name, handled, err, tc.bad)
+		}
 	}
 }

@@ -97,6 +97,11 @@ func WindowSpanTruss[VM any](g *Graph[VM, uint64], k int, spans []TrussWindow, o
 	return out.Outcome().(SpanTrussResult), nil
 }
 
+// ErrBadSpanTrussArgs is wrapped by every rejection of "spantruss"
+// arguments: k outside [2, MaxInt32], more than truss.MaxSpans (64) spans,
+// an inverted span. tripolld answers it with 400 Bad Request.
+var ErrBadSpanTrussArgs = truss.ErrBadSpanTrussArgs
+
 // DecodeTrussIndexSnapshot parses a TrussIndex store snapshot (the TPTI1
 // codec); corrupt input returns an error wrapping ErrTrussIndexCorrupt,
 // never a panic.
