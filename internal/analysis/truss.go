@@ -124,7 +124,10 @@ func normalize(edges []Edge) []Edge {
 
 // Decompose computes the trussness of every edge of the undirected simple
 // graph underlying edges (any order; duplicates and self-loops dropped),
-// counting each edge's initial support from the topology.
+// counting each edge's initial support from the topology. Input already
+// canonical, self-loop-free and strictly ascending is not copied: the
+// result's Edges is then the argument itself, which the caller must not
+// modify while the result is in use.
 func Decompose(edges []Edge) Trussness {
 	es := normalize(edges)
 	c := buildCSR(es)

@@ -52,6 +52,7 @@ func AblationTruss(cfg Config) *Report {
 		return string(raw)
 	}
 
+	var maintainedWall, reindexWall time.Duration
 	for _, d := range TemporalDatasets(cfg) {
 		spans := []truss.Window{
 			{From: 0, Until: d.Horizon / 3},
@@ -194,11 +195,6 @@ func AblationTruss(cfg Config) *Report {
 			case maintained.queryMsgs != 0:
 				rep.notef("UNEXPECTED: index-served queries moved %d messages on %s/%s, want 0",
 					maintained.queryMsgs, d.Name, mode)
-			// Message counts are exact and gate; query wall is reported, not
-			// asserted — with the dense peel both arms take milliseconds at
-			// small scale, and under `go test` every experiment runs
-			// concurrently, so one scheduling stall outweighs the difference.
-			// bench/'s truss-index workload is the wall-clock gate.
 			case maintained.maintainMsgs+maintained.queryMsgs >= reindex.maintainMsgs+reindex.queryMsgs:
 				rep.notef("UNEXPECTED: maintained index did not strictly win on %s/%s: %d→%d total msgs",
 					d.Name, mode,
@@ -212,11 +208,25 @@ func AblationTruss(cfg Config) *Report {
 					stats.FormatDuration(reindex.queryDur), stats.FormatDuration(maintained.queryDur),
 					ixSt.Served-ixSt.Recomputed, ixSt.Served)
 			}
+			maintainedWall += maintained.queryDur
+			reindexWall += reindex.queryDur
 			wIx.Close()
 			wRe.Close()
 		}
 	}
 	rep.Output = tb.Render()
+	// Query wall gates on the sum over every dataset and mode: per cell both
+	// arms take milliseconds at test scale, where one scheduling stall (the
+	// experiments run concurrently under `go test`) can outweigh a 3–6×
+	// difference; over the whole run it cannot.
+	if maintainedWall >= reindexWall {
+		rep.notef("UNEXPECTED: maintained index did not strictly win on query wall: %s→%s over all datasets and modes",
+			stats.FormatDuration(reindexWall), stats.FormatDuration(maintainedWall))
+	} else {
+		rep.notef("query wall over all datasets and modes: %s→%s (%.1f×)",
+			stats.FormatDuration(reindexWall), stats.FormatDuration(maintainedWall),
+			float64(reindexWall)/float64(maintainedWall))
+	}
 	rep.notef("the index pays span-bucketed support maintenance inside the stream's mutation collectives (AllGather at sink commit), then answers every spantruss query by peeling its local store — zero traversals, zero transport; the baseline re-materializes the window each epoch and re-runs the decomposition per query")
 	return rep
 }

@@ -168,15 +168,13 @@ func (st *TriSpanStore) EdgesIn(from, until uint64) []serialize.Pair[uint64, uin
 		}
 		out = append(out, k)
 	}
-	slices.SortFunc(out, comparePairs)
+	slices.SortFunc(out, func(a, b serialize.Pair[uint64, uint64]) int {
+		if c := cmp.Compare(a.First, b.First); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Second, b.Second)
+	})
 	return out
-}
-
-func comparePairs(a, b serialize.Pair[uint64, uint64]) int {
-	if c := cmp.Compare(a.First, b.First); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Second, b.Second)
 }
 
 // Snapshot codec (TPTI1), in the TPDG2 shard mould: magic + version,
@@ -204,7 +202,12 @@ func (st *TriSpanStore) EncodeSnapshot() []byte {
 	for k := range st.Edges {
 		edges = append(edges, k)
 	}
-	slices.SortFunc(edges, comparePairs)
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].First != edges[j].First {
+			return edges[i].First < edges[j].First
+		}
+		return edges[i].Second < edges[j].Second
+	})
 	e.PutUvarint(uint64(len(edges)))
 	for _, k := range edges {
 		e.PutUvarint(k.First)
