@@ -13,6 +13,7 @@ import (
 
 	"tripoll"
 	"tripoll/datagen"
+	"tripoll/internal/leaktest"
 )
 
 // newTestServer builds a server over a small generated temporal graph and
@@ -370,6 +371,14 @@ func TestMetricsSchema(t *testing.T) {
 	if world["messages_sent"] <= 0 {
 		t.Errorf("world.messages_sent = %v, want > 0 after traversals", world["messages_sent"])
 	}
+	for _, key := range []string{"messages_processed", "handlers", "link_sync_rounds", "link_quiesce_rounds", "link_exchange_rounds"} {
+		if _, ok := world[key]; !ok {
+			t.Errorf("world section missing %q: %v", key, world)
+		}
+	}
+	if world["handlers"] < 1 {
+		t.Errorf("world.handlers = %v, want the relay handler at least", world["handlers"])
+	}
 	// The dist section exists only under -workers; a single-process server
 	// must omit it rather than serve zeros.
 	if _, ok := raw["dist"]; ok {
@@ -492,6 +501,64 @@ func startDurable(t *testing.T, dir string) *durableHarness {
 	}
 	srv := httptest.NewServer(newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{world: w}))
 	return &durableHarness{srv: srv, eng: eng, w: w}
+}
+
+// TestServedQueriesDoNotLeak is the leak regression through HTTP (the
+// engine-level halves are in internal/engine and internal/dist): with the
+// retained-jobs list at its cap — so the server's own bookkeeping is flat —
+// 200 pairwise-distinct queries on one epoch and 50 ingest→query cycles
+// leave the world's handler table and the live heap where they found them.
+func TestServedQueriesDoNotLeak(t *testing.T) {
+	const retain = 8
+	p := datagen.DefaultRedditParams()
+	p.Events = 1500
+	p.Users = 250
+	w := tripoll.NewWorld(2)
+	g := tripoll.BuildTemporal(w, datagen.RedditLike(p))
+	eng := tripoll.NewQueryEngine(tripoll.TemporalQueryRegistry(), tripoll.QueryEngineOptions[uint64]{
+		Timestamps: func(ts uint64) uint64 { return ts },
+	})
+	if _, _, err := eng.OpenDurableStream("default", g,
+		tripoll.StreamOptions[uint64]{MergeEdgeMeta: minTimestamp}, tripoll.NewTemporalPlan(),
+		tripoll.DurableStreamOptions{Dir: t.TempDir(), CheckpointEvery: 16}); err != nil {
+		t.Fatalf("OpenDurableStream: %v", err)
+	}
+	srv := httptest.NewServer(newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{world: w, retain: retain}))
+	defer func() { srv.Close(); eng.Close(); w.Close() }()
+
+	query := func(body string) {
+		var st jobStatus
+		if code := postJSON(t, srv.URL+"/v1/query?wait=1", body, &st); code != 200 || st.Result == nil || st.Result.Cached {
+			t.Fatalf("query %s: code=%d %+v", body, code, st)
+		}
+	}
+	metrics := func() metricsPayload {
+		var m metricsPayload
+		if code := getJSON(t, srv.URL+"/metrics", &m); code != 200 || m.World == nil {
+			t.Fatalf("metrics: code=%d %+v", code, m)
+		}
+		return m
+	}
+	leaktest.Probe(t, w, 200, 1<<20, func(i int) {
+		query(`{"analysis":"count","delta":` + jsonNum(uint64(1000+i)) + `}`)
+	})
+	before := metrics()
+	leaktest.Probe(t, w, 50, 1<<20, func(i int) {
+		var rep mutationReply
+		u := jsonNum(uint64(9000 + i%20))
+		body := `{"edges":[{"u":` + u + `,"v":9100,"t":50},{"u":` + u + `,"v":9101,"t":60},{"u":9100,"v":9101,"t":70}]}`
+		if code := postJSON(t, srv.URL+"/v1/ingest", body, &rep); code != 200 {
+			t.Fatalf("ingest %d: code=%d %+v", i, code, rep)
+		}
+		query(`{"analysis":"count"}`)
+	})
+	after := metrics()
+	if after.World.Handlers != before.World.Handlers || after.World.Handlers != w.NumHandlers() {
+		t.Errorf("/metrics world.handlers: %d before the ingest cycles, %d after (table: %d)", before.World.Handlers, after.World.Handlers, w.NumHandlers())
+	}
+	if after.HTTP.JobsRetained != retain {
+		t.Errorf("jobs_retained = %d, want the cap %d", after.HTTP.JobsRetained, retain)
+	}
 }
 
 func (h *durableHarness) stop() {

@@ -9,7 +9,10 @@
 //	  "coalesce_ratio": coalesced / completed,
 //	  "graphs":         [{"name", "epoch", "durable": {"wal": wal.Stats, ...}}],
 //	  "http":           {"requests", "rate_limited", "overloaded", "jobs_retained"},
-//	  "world":          {"messages_sent", "messages_processed"},
+//	  "world":          {"messages_sent", "messages_processed", "handlers" (handler-table
+//	                     length: flat across queries), "link_sync_rounds",
+//	                     "link_quiesce_rounds", "link_exchange_rounds" (process-link
+//	                     round trips by kind; 0 without -workers)},
 //	  "dist":           (-workers only) {"procs", "mutation": dist.MutationStats},
 //	  "truss_index":    (-truss-index only) tripoll.TrussIndexStats
 //	}
@@ -39,6 +42,15 @@ type httpMetrics struct {
 type worldMetrics struct {
 	MessagesSent      int64 `json:"messages_sent"`
 	MessagesProcessed int64 `json:"messages_processed"`
+	// Handlers is the length of the world's handler table. Surveys and
+	// builders release what they register, so it does not grow with queries.
+	Handlers int `json:"handlers"`
+	// Link*Rounds count the driver's control-link round trips by kind. Sync
+	// and exchange rounds are a pure function of the work served; quiesce
+	// rounds also depend on how long the wires took to drain.
+	LinkSyncRounds     uint64 `json:"link_sync_rounds"`
+	LinkQuiesceRounds  uint64 `json:"link_quiesce_rounds"`
+	LinkExchangeRounds uint64 `json:"link_exchange_rounds"`
 }
 
 // distMetrics is the multi-process section: the mutation broadcast
@@ -98,7 +110,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	if s.world != nil {
 		sent, proc := s.world.TransportCounters()
-		m.World = &worldMetrics{MessagesSent: sent, MessagesProcessed: proc}
+		lr := s.world.LinkRounds()
+		m.World = &worldMetrics{
+			MessagesSent: sent, MessagesProcessed: proc, Handlers: s.world.NumHandlers(),
+			LinkSyncRounds: lr.Sync, LinkQuiesceRounds: lr.Quiesce, LinkExchangeRounds: lr.Exchange,
+		}
 	}
 	if s.cluster != nil {
 		m.Dist = &distMetrics{Procs: s.cluster.Procs(), Mutation: s.cluster.MutationStats()}

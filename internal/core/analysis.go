@@ -216,6 +216,7 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Close()
 	res := s.Run()
 	res.Analyses = names
 	if len(analyses) > 0 {

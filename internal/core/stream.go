@@ -59,12 +59,11 @@ import (
 // full traversals (seed, rebuilds) are normalized to the same presentation.
 //
 // Construction, like NewSurvey, registers handlers and must happen outside
-// parallel regions; Ingest/Advance/Snapshot are collective and must also
-// be called outside parallel regions. Epoch rebuilds register fresh
-// handler slots on the world (a Survey and a Builder per rebuild), so
-// long-lived streams should prefer invertible analyses and chronological
-// input; the ~8 leaked registry slots per rebuild are the price of the
-// fallback.
+// parallel regions; Ingest/Advance/Snapshot/Materialize are collective and
+// must also be called outside parallel regions. Everything the stream ever
+// registers it registers here (the snapshot stage's handlers included); an
+// epoch rebuild's survey releases its own when it has run, so the world's
+// handler table is flat however long the stream lives.
 
 // StreamOptions configures a stream.
 type StreamOptions[EM any] struct {
@@ -150,6 +149,7 @@ type Stream[VM, EM any] struct {
 
 	shards []*graph.StreamShard[VM, EM]
 	state  []streamState[VM, EM]
+	orient *graph.Orienter[VM, EM] // the snapshot stage behind Materialize
 
 	epoch         uint32
 	cutoff        uint64
@@ -248,6 +248,7 @@ func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan
 	}
 	s.state = make([]streamState[VM, EM], w.Size())
 	s.registerHandlers()
+	s.orient = graph.NewOrienter(w, g.Partitioner(), s.vm, s.em)
 	s.seedFrom(g)
 	return s, nil
 }
@@ -507,6 +508,7 @@ func (s *Stream[VM, EM]) seedFrom(g *graph.DODGr[VM, EM]) {
 		r.Barrier() // all seeds delivered before sealing
 		sh.Seal()
 	})
+	s.w.ReleaseHandlers(hSeed)
 	// Initial observe: one fused traversal of the seed graph, normalized to
 	// the stream's id-ordered triangle presentation.
 	sv, err := NewPlannedSurvey(g, s.opts.Survey, s.plan, s.fullObserveCallback())
@@ -515,6 +517,7 @@ func (s *Stream[VM, EM]) seedFrom(g *graph.DODGr[VM, EM]) {
 		panic("core: stream seed survey: " + err.Error())
 	}
 	s.seed = sv.Run()
+	sv.Close()
 	s.triangles = s.seed.Triangles
 	s.sinkCommit()
 }
@@ -1229,37 +1232,14 @@ func (s *Stream[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 
 // Materialize builds an immutable DODGr snapshot of the live edge set,
 // with the seed graph's partitioning and ordering strategy — the rebuild
-// vehicle, also useful for running arbitrary full surveys against the
-// current window. Collective; call outside parallel regions.
+// vehicle, also what engine queries and checkpoints read. The shards
+// already hold every live edge at both owners, sorted and deduplicated, so
+// nothing is shuffled: each rank orients its own entries after one bulk
+// boundary exchange (graph.Orienter), and the result is the graph a Builder
+// fed the same vertices and live edges would build. Collective; call
+// outside parallel regions.
 func (s *Stream[VM, EM]) Materialize() *graph.DODGr[VM, EM] {
-	b := graph.NewBuilder(s.w, s.vm, s.em, graph.BuilderOptions[EM]{
-		Partitioner:   s.g.Partitioner(),
-		Ordering:      s.g.Ordering(),
-		MergeEdgeMeta: s.opts.MergeEdgeMeta,
-	})
-	var g2 *graph.DODGr[VM, EM]
-	s.w.Parallel(func(r *ygm.Rank) {
-		sh := s.shards[r.ID()]
-		for vi := range sh.Verts {
-			v := &sh.Verts[vi]
-			b.SetVertexMeta(r, v.ID, v.Meta)
-			for j := range v.Adj {
-				c := &v.Adj[j]
-				if c.Dead || v.ID >= c.Target {
-					continue
-				}
-				b.AddEdge(r, v.ID, c.Target, c.EMeta)
-			}
-		}
-		gg := b.Build(r)
-		// Gate on the local leader, not rank 0: in a multi-process world
-		// every process must come away with its own snapshot (rank 0 only
-		// exists in the driver).
-		if r.ID() == s.w.LeaderID() {
-			g2 = gg
-		}
-	})
-	return g2
+	return s.orient.Snapshot(s.shards, s.g.Ordering())
 }
 
 // rebuild is the windowed epoch rebuild: accumulators are reset and
@@ -1288,6 +1268,7 @@ func (s *Stream[VM, EM]) rebuild(res *Result, prev *ygm.Stats) error {
 		return err
 	}
 	r2 := sv.Run() // resets world stats; phases accounted inside
+	sv.Close()
 	*prev = s.w.Stats()
 	res.DryRun, res.Push, res.Pull = r2.DryRun, r2.Push, r2.Pull
 	res.Triangles = r2.Triangles

@@ -107,7 +107,8 @@ type Result struct {
 }
 
 // Survey is a reusable triangle survey over one DODGr. Construct outside a
-// parallel region (handlers are registered); Run as many times as desired.
+// parallel region (handlers are registered); Run as many times as desired,
+// then Close.
 type Survey[VM, EM any] struct {
 	g    *graph.DODGr[VM, EM]
 	w    *ygm.World
@@ -181,6 +182,15 @@ func NewSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, cb Callback[VM,
 	s.hDecline = s.w.RegisterHandler(s.onDecline)
 	s.hPull = s.w.RegisterHandler(s.onPull)
 	return s
+}
+
+// Close releases the survey's four handlers — and with them the survey, its
+// per-rank negotiation maps and the graph they reach, which the world's
+// handler table would otherwise pin for as long as the world lives. Call
+// outside parallel regions once the last Run has returned; the survey must
+// not run afterwards.
+func (s *Survey[VM, EM]) Close() {
+	s.w.ReleaseHandlers(s.hPush, s.hPropose, s.hDecline, s.hPull)
 }
 
 // NewPlannedSurvey prepares a survey restricted to plan-matching triangles,
@@ -279,45 +289,37 @@ func (s *Survey[VM, EM]) Run() Result {
 // reduceResult folds every process's Result partials into world-wide
 // totals so a multi-process run reports exactly what the equivalent
 // single-process run would. Each process leader contributes its process
-// partial to sum (or max) collectives; the other local ranks contribute
-// zero but must participate — collectives are world-wide. Durations stay
-// process-local: wall clock is machine-dependent and excluded from every
-// determinism gate.
+// partial to one vector collective — fifteen sums and a max in a single link
+// round; the other local ranks contribute zeros but must participate —
+// collectives are world-wide. Durations stay process-local: wall clock is
+// machine-dependent and excluded from every determinism gate.
 func (s *Survey[VM, EM]) reduceResult(res *Result) {
-	in := *res
-	var out Result
+	phases := []*PhaseStats{&res.DryRun, &res.Push, &res.Pull}
+	part := []uint64{
+		res.Triangles, res.PullsGranted, res.WedgeChecks,
+		res.PrunedBatches, res.PrunedCandidates, res.PrunedPullEntries,
+	}
+	for _, ph := range phases {
+		part = append(part, uint64(ph.Bytes), uint64(ph.Messages), uint64(ph.Batches))
+	}
+	nsum := len(part)
+	part = append(part, res.MaxRankWedgeChecks)
+	var out []uint64
 	s.w.Parallel(func(r *ygm.Rank) {
-		lead := r.ID() == s.w.LeaderID()
-		cu := func(v uint64) uint64 {
-			if lead {
-				return v
-			}
-			return 0
+		x := part
+		if r.ID() != s.w.LeaderID() {
+			x = make([]uint64, len(part))
 		}
-		sumI := func(v int64) int64 {
-			if !lead {
-				v = 0
-			}
-			return ygm.AllReduce(r, v, func(a, b int64) int64 { return a + b })
-		}
-		t := in
-		t.Triangles = ygm.AllReduceSum(r, cu(in.Triangles))
-		t.PullsGranted = ygm.AllReduceSum(r, cu(in.PullsGranted))
-		t.WedgeChecks = ygm.AllReduceSum(r, cu(in.WedgeChecks))
-		t.MaxRankWedgeChecks = ygm.AllReduceMax(r, cu(in.MaxRankWedgeChecks))
-		t.PrunedBatches = ygm.AllReduceSum(r, cu(in.PrunedBatches))
-		t.PrunedCandidates = ygm.AllReduceSum(r, cu(in.PrunedCandidates))
-		t.PrunedPullEntries = ygm.AllReduceSum(r, cu(in.PrunedPullEntries))
-		for _, ph := range []*PhaseStats{&t.DryRun, &t.Push, &t.Pull} {
-			ph.Bytes = sumI(ph.Bytes)
-			ph.Messages = sumI(ph.Messages)
-			ph.Batches = sumI(ph.Batches)
-		}
-		if lead {
+		if t := ygm.AllReduceVec(r, x, nsum); r.ID() == s.w.LeaderID() {
 			out = t
 		}
 	})
-	*res = out
+	res.Triangles, res.PullsGranted, res.WedgeChecks = out[0], out[1], out[2]
+	res.PrunedBatches, res.PrunedCandidates, res.PrunedPullEntries = out[3], out[4], out[5]
+	for i, ph := range phases {
+		ph.Bytes, ph.Messages, ph.Batches = int64(out[6+3*i]), int64(out[7+3*i]), int64(out[8+3*i])
+	}
+	res.MaxRankWedgeChecks = out[nsum]
 }
 
 // --- Dry-run phase (§4.4, "Push vs Pull Dry-Run") ---------------------

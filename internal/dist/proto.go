@@ -3,9 +3,11 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -18,9 +20,12 @@ import (
 )
 
 // Control-plane wire protocol: every frame is a gob-encoded ctrlMsg behind
-// a 4-byte length prefix (serialize.WriteFrame). One message type with a
-// kind tag keeps the codec trivial and lets a reader reject an unexpected
-// frame with a protocol error instead of a gob decode failure.
+// a 4-byte big-endian length prefix (the serialize.WriteFrame layout). One
+// message type with a kind tag keeps the codec trivial and lets a reader
+// reject an unexpected frame with a protocol error instead of a gob decode
+// failure. Each direction of a connection is ONE gob stream for the
+// connection's lifetime (see ctrlConn): a frame costs what it carries, not
+// a fresh encoder, its type descriptors and a freshly compiled decoder.
 
 const (
 	// joinMagic/protoVersion version the control plane, independently of
@@ -36,6 +41,10 @@ const (
 	// quiescence votes, and collective payloads (analysis accumulators),
 	// so a quarter gigabyte is already generous.
 	maxCtrlFrame = 256 << 20
+
+	// keepFrameBuf is the largest frame buffer a connection keeps between
+	// frames; one large accumulator exchange must not pin its size forever.
+	keepFrameBuf = 1 << 20
 
 	defaultTimeout = 60 * time.Second
 )
@@ -102,12 +111,23 @@ func (e *JoinVersionError) Error() string {
 	return fmt.Sprintf("dist: worker speaks control protocol v%d, coordinator wants v%d", e.Got, e.Want)
 }
 
-// ProtocolError reports a frame of the wrong kind for the current phase.
-type ProtocolError struct{ Got, Want kind }
+// ProtocolError reports a frame of the wrong kind for the current phase,
+// or — Cause set — bytes that are no frame at all (an oversized length
+// prefix, a payload gob cannot decode). The second kind is fatal to the
+// connection: the receiver closes it, because the gob stream is lost.
+type ProtocolError struct {
+	Got, Want kind
+	Cause     error
+}
 
 func (e *ProtocolError) Error() string {
+	if e.Cause != nil {
+		return fmt.Sprintf("dist: protocol error: undecodable control frame: %v", e.Cause)
+	}
 	return fmt.Sprintf("dist: protocol error: got %v frame, want %v", e.Got, e.Want)
 }
+
+func (e *ProtocolError) Unwrap() error { return e.Cause }
 
 // WireOptions is the subset of ygm.Options the coordinator dictates to
 // every process; transport is always TCP and ListenAddr stays per-process.
@@ -249,36 +269,113 @@ func init() {
 // mutex-serialized (job broadcasts from the scheduler goroutine interleave
 // with link-round replies from the ygm leader goroutine); reads have a
 // single consumer at a time by protocol phase, so they are unlocked.
+//
+// The encoder and decoder live as long as the connection, each paired with
+// its opposite number on the peer from the first frame on: gob sends a
+// type's descriptor once per stream and compiles its decoder once, which is
+// most of what a small frame used to cost. The first frame each way (join,
+// assign) is therefore still self-contained. Frames keep their length
+// prefix, so a reader never allocates beyond maxCtrlFrame on a peer's say-so.
 type ctrlConn struct {
 	c   net.Conn
 	br  *bufio.Reader
 	wmu sync.Mutex
+
+	enc  *gob.Encoder
+	wbuf bytes.Buffer // the frame being encoded: length prefix, then gob bytes
+	dec  *gob.Decoder
+	rbuf frameBuf // the frame being decoded
+}
+
+// frameBuf is the decoder's source: exactly the current frame's payload.
+// (It implements io.ByteReader so gob adds no read-ahead buffer of its own,
+// which would swallow the frame boundary.)
+type frameBuf struct {
+	b   []byte
+	off int
+}
+
+func (f *frameBuf) Read(p []byte) (int, error) {
+	if f.off >= len(f.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.b[f.off:])
+	f.off += n
+	return n, nil
+}
+
+func (f *frameBuf) ReadByte() (byte, error) {
+	if f.off >= len(f.b) {
+		return 0, io.EOF
+	}
+	c := f.b[f.off]
+	f.off++
+	return c, nil
 }
 
 func newCtrlConn(c net.Conn) *ctrlConn {
-	return &ctrlConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	cc := &ctrlConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	cc.enc = gob.NewEncoder(&cc.wbuf)
+	cc.dec = gob.NewDecoder(&cc.rbuf)
+	return cc
 }
 
 func (cc *ctrlConn) send(m *ctrlMsg) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("dist: encode %v frame: %w", m.Kind, err)
-	}
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	return serialize.WriteFrame(cc.c, buf.Bytes())
+	cc.wbuf.Reset()
+	cc.wbuf.Write([]byte{0, 0, 0, 0})
+	if err := cc.enc.Encode(m); err != nil {
+		// Descriptors the encoder now believes sent never left: the stream
+		// is unusable from here on.
+		cc.c.Close()
+		return fmt.Errorf("dist: encode %v frame: %w", m.Kind, err)
+	}
+	frame := cc.wbuf.Bytes()
+	if n := len(frame) - 4; n > maxCtrlFrame {
+		cc.c.Close()
+		return fmt.Errorf("dist: encode %v frame: %w", m.Kind, &serialize.FrameSizeError{Size: uint32(n), Limit: maxCtrlFrame})
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := cc.c.Write(frame)
+	if cc.wbuf.Cap() > keepFrameBuf {
+		cc.wbuf = bytes.Buffer{} // same address: the encoder keeps writing here
+	}
+	return err
 }
 
+// recv reads one frame. I/O failures (EOF, deadline) come back as they
+// are; bytes that do not decode come back as a ProtocolError and close the
+// connection.
 func (cc *ctrlConn) recv() (*ctrlMsg, error) {
-	payload, err := serialize.ReadFrame(cc.br, maxCtrlFrame)
-	if err != nil {
+	var hdr [4]byte
+	if _, err := io.ReadFull(cc.br, hdr[:]); err != nil {
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > maxCtrlFrame {
+		return nil, cc.corrupt(&serialize.FrameSizeError{Size: size, Limit: maxCtrlFrame})
+	}
+	if c := cap(cc.rbuf.b); c < int(size) || c > keepFrameBuf {
+		cc.rbuf.b = make([]byte, size)
+	}
+	cc.rbuf.b, cc.rbuf.off = cc.rbuf.b[:size], 0
+	if _, err := io.ReadFull(cc.br, cc.rbuf.b); err != nil {
 		return nil, err
 	}
 	var m ctrlMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("dist: decode control frame: %w", err)
+	if err := cc.dec.Decode(&m); err != nil {
+		return nil, cc.corrupt(err)
+	}
+	if rest := len(cc.rbuf.b) - cc.rbuf.off; rest != 0 {
+		return nil, cc.corrupt(fmt.Errorf("%d bytes trail the %v frame", rest, m.Kind))
 	}
 	return &m, nil
+}
+
+func (cc *ctrlConn) corrupt(cause error) error {
+	cc.c.Close()
+	return &ProtocolError{Cause: cause}
 }
 
 // expect receives one frame and demands its kind.

@@ -47,29 +47,13 @@ func (v *Vertex[VM, EM]) Key() OrderKey { return KeyOf(v.Ord, v.ID) }
 func (v *Vertex[VM, EM]) OutDeg() int { return len(v.Adj) }
 
 // rankLocal is one rank's shard. After construction the per-vertex Adj
-// slices all alias one contiguous CSR-style arena (built by compact), so a
-// survey's sequential sweep over vertices walks memory in order instead of
-// chasing per-vertex allocations.
+// slices all alias one contiguous CSR-style arena (filled by the Orienter,
+// or by decodeShard on load), so a survey's sequential sweep over vertices
+// walks memory in order instead of chasing per-vertex allocations.
 type rankLocal[VM, EM any] struct {
 	index map[uint64]int32
 	verts []Vertex[VM, EM]
 	arena []OutEdge[VM, EM] // backing store for every verts[i].Adj
-}
-
-// compact moves every adjacency list into one arena allocation, in vertex
-// storage order, and re-points the Adj subslices at it.
-func (rl *rankLocal[VM, EM]) compact() {
-	var total int
-	for i := range rl.verts {
-		total += len(rl.verts[i].Adj)
-	}
-	rl.arena = make([]OutEdge[VM, EM], 0, total)
-	for i := range rl.verts {
-		v := &rl.verts[i]
-		start := len(rl.arena)
-		rl.arena = append(rl.arena, v.Adj...)
-		v.Adj = rl.arena[start:len(rl.arena):len(rl.arena)]
-	}
 }
 
 // DODGr is the distributed degree-ordered directed graph G⁺ with inlined

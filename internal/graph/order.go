@@ -93,6 +93,22 @@ func (k OrderKey) Less(o OrderKey) bool {
 	return k.ID < o.ID
 }
 
+// CompareOrder is OrderKey.Compare on (weight, id) pairs, hashing only to
+// break a weight tie — the comparator adjacency sorts run per element.
+func CompareOrder(du uint32, u uint64, dv uint32, v uint64) int {
+	switch {
+	case du < dv:
+		return -1
+	case du > dv:
+		return 1
+	case u == v:
+		return 0
+	case Less(du, u, dv, v):
+		return -1
+	}
+	return 1
+}
+
 // Compare returns -1, 0, or +1 ordering k against o.
 func (k OrderKey) Compare(o OrderKey) int {
 	switch {

@@ -11,7 +11,7 @@ import "sort"
 // discipline where it can:
 //
 //   - Seal compacts the seeded adjacency lists into one contiguous arena,
-//     exactly like rankLocal.compact, so the steady-state scan order of a
+//     exactly like the DODGr's, so the steady-state scan order of a
 //     freshly opened stream matches the immutable graph's;
 //   - later insertions append through ordinary slice growth — a vertex
 //     whose list outgrows its arena extent migrates to its own backing

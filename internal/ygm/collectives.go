@@ -45,6 +45,29 @@ func AllReduceMax(r *Rank, x uint64) uint64 {
 	})
 }
 
+// AllReduceVec reduces a vector of counters in one exchange: elements
+// [0, nsum) are summed across ranks, the rest are maxed. Every rank passes a
+// vector of the same length. It is how a stage that settles many figures at
+// once (a survey's Result, a build's global figures) pays for one link
+// round in a multi-process world instead of one per figure.
+func AllReduceVec(r *Rank, x []uint64, nsum int) []uint64 {
+	w := r.world
+	w.shared[r.id] = x
+	w.gatherSlots(r)
+	out := make([]uint64, len(x))
+	for i := 0; i < w.n; i++ {
+		for k, v := range w.shared[i].([]uint64) {
+			if k < nsum {
+				out[k] += v
+			} else if v > out[k] {
+				out[k] = v
+			}
+		}
+	}
+	w.barrier.await()
+	return out
+}
+
 // AllGather returns every rank's contribution, indexed by rank, on all
 // ranks.
 func AllGather[T any](r *Rank, x T) []T {

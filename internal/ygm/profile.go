@@ -51,6 +51,8 @@ func (w *World) HandlerProfiles() []HandlerProfile {
 	w.mu.Lock()
 	numHandlers := len(w.handlers)
 	w.mu.Unlock()
+	// A released slot reads zero here (ReleaseHandlers zeroes its counters)
+	// and is skipped below with the other silent handlers.
 	agg := make([]HandlerProfile, numHandlers)
 	for _, r := range w.ranks {
 		for id := 0; id < len(r.hMsgs) && id < numHandlers; id++ {

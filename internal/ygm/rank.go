@@ -1,6 +1,8 @@
 package ygm
 
 import (
+	"fmt"
+
 	"tripoll/internal/serialize"
 )
 
@@ -275,7 +277,10 @@ func (r *Rank) processBatch(batch []byte) {
 			panic("ygm: corrupt batch framing: " + f.Err().Error())
 		}
 		if h >= uint64(len(handlers)) {
-			panic("ygm: message for unregistered handler")
+			panic(fmt.Sprintf("ygm: message for unregistered handler %d", h))
+		}
+		if handlers[h] == nil {
+			panic(fmt.Sprintf("ygm: message for released handler %d", h))
 		}
 		// The r.processing guard prevents nested batch processing, so the
 		// single per-rank payload decoder can be reused for every message.

@@ -135,9 +135,14 @@ type World struct {
 	distQuiet bool // leader-written verdict of the last link Quiesce round
 
 	mu           sync.Mutex
-	handlers     []Handler
+	handlers     []Handler // a released slot is nil; see ReleaseHandlers
 	handlerNames []string
+	released     []HandlerID // in-region releases, applied when the region ends
 	inRegion     atomic.Bool
+
+	// Process-link rounds by kind, counted where the leader makes them
+	// (always zero in a single-process world); see LinkRounds.
+	syncRounds, quiesceRounds, exchangeRounds atomic.Uint64
 
 	// Message counters for termination detection, sharded per rank (each
 	// rank touches only its own cache line; the barrier sums them at a
@@ -314,6 +319,81 @@ func (w *World) RegisterHandler(h Handler) HandlerID {
 	return HandlerID(len(w.handlers) - 1)
 }
 
+// ReleaseHandlers ends the life of handler ids: their closures (and whatever
+// those pin) are dropped, their profile counters are zeroed, and the table
+// shrinks past every released id at its top, so a register/run/release cycle
+// gets the same ids every time — in every process, since registration and
+// release both follow the SPMD order. A message for a released id fails as
+// loudly as one for an id never registered. Called inside a parallel region
+// (by one rank) the release takes effect when the region ends: the ranks
+// read the table unlocked while they run.
+func (w *World) ReleaseHandlers(ids ...HandlerID) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.inRegion.Load() {
+		w.released = append(w.released, ids...)
+		return
+	}
+	w.release(ids)
+}
+
+// applyReleased carries out the releases a region asked for, once no rank
+// is reading the table any more.
+func (w *World) applyReleased() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ids := w.released
+	w.released = nil
+	w.release(ids)
+}
+
+func (w *World) release(ids []HandlerID) {
+	for _, id := range ids {
+		if int(id) >= len(w.handlers) || w.handlers[id] == nil || id == w.hForward {
+			panic(fmt.Sprintf("ygm: ReleaseHandlers of handler %d, which is not registered", id))
+		}
+		w.handlers[id] = nil
+		if int(id) < len(w.handlerNames) {
+			w.handlerNames[id] = ""
+		}
+		for _, r := range w.ranks {
+			if int(id) < len(r.hMsgs) {
+				r.hMsgs[id], r.hBytes[id] = 0, 0
+			}
+		}
+	}
+	n := len(w.handlers)
+	for n > 0 && w.handlers[n-1] == nil {
+		n--
+	}
+	w.handlers = w.handlers[:n]
+}
+
+// NumHandlers returns the length of the handler table (released slots
+// under a live one included): flat across queries when every survey and
+// builder releases what it registered.
+func (w *World) NumHandlers() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.handlers)
+}
+
+// LinkRounds counts the process-link round trips this process's leader has
+// made, by kind: Sync backs Rendezvous, Quiesce the Barrier's termination
+// verdict, Exchange the collectives. Exchange and Sync counts are a pure
+// function of the work done; Quiesce rounds depend on how long the wires
+// take to drain. Safe to read while a region runs.
+type LinkRounds struct {
+	Sync     uint64 `json:"sync"`
+	Quiesce  uint64 `json:"quiesce"`
+	Exchange uint64 `json:"exchange"`
+}
+
+// LinkRounds returns the link-round counters.
+func (w *World) LinkRounds() LinkRounds {
+	return LinkRounds{Sync: w.syncRounds.Load(), Quiesce: w.quiesceRounds.Load(), Exchange: w.exchangeRounds.Load()}
+}
+
 // Parallel runs fn concurrently on every local rank (the SPMD region) and
 // returns when all of them have finished. An implicit Barrier runs at the
 // end of the region, so no message is left unprocessed when Parallel
@@ -348,6 +428,7 @@ func (w *World) Parallel(fn func(r *Rank)) {
 		}()
 	}
 	wg.Wait()
+	w.applyReleased()
 	if w.failed.Load() {
 		w.failedMu.Lock()
 		f := w.failure
@@ -380,6 +461,7 @@ func (w *World) syncRanks(r *Rank) {
 	}
 	w.barrier.await()
 	if r.id == w.first {
+		w.syncRounds.Add(1)
 		if err := w.link.Sync(); err != nil {
 			w.linkFail(err)
 		}
@@ -399,6 +481,7 @@ func (w *World) gatherSlots(r *Rank) {
 	if r.id == w.first {
 		local := make([]any, w.local)
 		copy(local, w.shared[w.first:w.first+w.local])
+		w.exchangeRounds.Add(1)
 		full, err := w.link.Exchange(local)
 		if err != nil {
 			w.linkFail(err)
@@ -426,6 +509,7 @@ func (w *World) quiesceVerdict(r *Rank) bool {
 		return quiet
 	}
 	if r.id == w.first {
+		w.quiesceRounds.Add(1)
 		quiet, err := w.link.Quiesce(w.totalSent(), w.totalProcessed())
 		if err != nil {
 			w.linkFail(err)
