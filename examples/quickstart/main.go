@@ -45,6 +45,7 @@ func main() {
 			fmt.Printf("  rank %d found triangle (%d, %d, %d)\n", r.ID(), t.P, t.Q, t.R)
 		})
 	s.Run()
+	s.Close() // a prepared survey holds handler slots on the world until closed
 	fmt.Printf("callback firings per rank: %v\n", perRank)
 
 	// Services answering many questions hold a query Engine instead:

@@ -3,11 +3,9 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -20,7 +18,7 @@ import (
 )
 
 // Control-plane wire protocol: every frame is a gob-encoded ctrlMsg behind
-// a 4-byte big-endian length prefix (the serialize.WriteFrame layout). One
+// a 4-byte length prefix (serialize.WriteFrame). One
 // message type with a kind tag keeps the codec trivial and lets a reader
 // reject an unexpected frame with a protocol error instead of a gob decode
 // failure. Each direction of a connection is ONE gob stream for the
@@ -42,7 +40,7 @@ const (
 	// so a quarter gigabyte is already generous.
 	maxCtrlFrame = 256 << 20
 
-	// keepFrameBuf is the largest frame buffer a connection keeps between
+	// keepFrameBuf is the largest encode buffer a connection keeps between
 	// frames; one large accumulator exchange must not pin its size forever.
 	keepFrameBuf = 1 << 20
 
@@ -282,41 +280,16 @@ type ctrlConn struct {
 	wmu sync.Mutex
 
 	enc  *gob.Encoder
-	wbuf bytes.Buffer // the frame being encoded: length prefix, then gob bytes
+	wbuf bytes.Buffer // the gob bytes of the frame being sent
 	dec  *gob.Decoder
-	rbuf frameBuf // the frame being decoded
-}
-
-// frameBuf is the decoder's source: exactly the current frame's payload.
-// (It implements io.ByteReader so gob adds no read-ahead buffer of its own,
-// which would swallow the frame boundary.)
-type frameBuf struct {
-	b   []byte
-	off int
-}
-
-func (f *frameBuf) Read(p []byte) (int, error) {
-	if f.off >= len(f.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[f.off:])
-	f.off += n
-	return n, nil
-}
-
-func (f *frameBuf) ReadByte() (byte, error) {
-	if f.off >= len(f.b) {
-		return 0, io.EOF
-	}
-	c := f.b[f.off]
-	f.off++
-	return c, nil
+	rd   bytes.Reader // the decoder's source: exactly the current frame's payload
+	// (bytes.Reader is an io.ByteReader, so gob reads no further ahead)
 }
 
 func newCtrlConn(c net.Conn) *ctrlConn {
 	cc := &ctrlConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
 	cc.enc = gob.NewEncoder(&cc.wbuf)
-	cc.dec = gob.NewDecoder(&cc.rbuf)
+	cc.dec = gob.NewDecoder(&cc.rd)
 	return cc
 }
 
@@ -324,20 +297,13 @@ func (cc *ctrlConn) send(m *ctrlMsg) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	cc.wbuf.Reset()
-	cc.wbuf.Write([]byte{0, 0, 0, 0})
 	if err := cc.enc.Encode(m); err != nil {
 		// Descriptors the encoder now believes sent never left: the stream
 		// is unusable from here on.
 		cc.c.Close()
 		return fmt.Errorf("dist: encode %v frame: %w", m.Kind, err)
 	}
-	frame := cc.wbuf.Bytes()
-	if n := len(frame) - 4; n > maxCtrlFrame {
-		cc.c.Close()
-		return fmt.Errorf("dist: encode %v frame: %w", m.Kind, &serialize.FrameSizeError{Size: uint32(n), Limit: maxCtrlFrame})
-	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	_, err := cc.c.Write(frame)
+	err := serialize.WriteFrame(cc.c, cc.wbuf.Bytes())
 	if cc.wbuf.Cap() > keepFrameBuf {
 		cc.wbuf = bytes.Buffer{} // same address: the encoder keeps writing here
 	}
@@ -345,29 +311,24 @@ func (cc *ctrlConn) send(m *ctrlMsg) error {
 }
 
 // recv reads one frame. I/O failures (EOF, deadline) come back as they
-// are; bytes that do not decode come back as a ProtocolError and close the
-// connection.
+// are; bytes that are no frame — an oversized length prefix, a payload gob
+// cannot decode, bytes left over after the value — come back as a
+// ProtocolError and close the connection.
 func (cc *ctrlConn) recv() (*ctrlMsg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(cc.br, hdr[:]); err != nil {
+	payload, err := serialize.ReadFrame(cc.br, maxCtrlFrame)
+	if err != nil {
+		var tooBig *serialize.FrameSizeError
+		if errors.As(err, &tooBig) {
+			return nil, cc.corrupt(err)
+		}
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > maxCtrlFrame {
-		return nil, cc.corrupt(&serialize.FrameSizeError{Size: size, Limit: maxCtrlFrame})
-	}
-	if c := cap(cc.rbuf.b); c < int(size) || c > keepFrameBuf {
-		cc.rbuf.b = make([]byte, size)
-	}
-	cc.rbuf.b, cc.rbuf.off = cc.rbuf.b[:size], 0
-	if _, err := io.ReadFull(cc.br, cc.rbuf.b); err != nil {
-		return nil, err
-	}
+	cc.rd.Reset(payload)
 	var m ctrlMsg
 	if err := cc.dec.Decode(&m); err != nil {
 		return nil, cc.corrupt(err)
 	}
-	if rest := len(cc.rbuf.b) - cc.rbuf.off; rest != 0 {
+	if rest := cc.rd.Len(); rest != 0 {
 		return nil, cc.corrupt(fmt.Errorf("%d bytes trail the %v frame", rest, m.Kind))
 	}
 	return &m, nil

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 
 	"tripoll/internal/serialize"
@@ -65,6 +66,11 @@ const boundaryFrameBytes = 32 << 10
 func NewOrienter[VM, EM any](w *ygm.World, part Partitioner, vm serialize.Codec[VM], em serialize.Codec[EM]) *Orienter[VM, EM] {
 	o := &Orienter[VM, EM]{w: w, part: part, vm: vm, em: em}
 	o.st = make([]orientState[VM, EM], w.Size())
+	for i := range o.st {
+		o.st[i].remote = make(map[uint64]boundaryRec[VM])
+		o.st[i].stage = make([]*serialize.Encoder, w.Size())
+		o.st[i].seen = make([]int32, w.Size())
+	}
 	// Peel decrement: a neighbor of v was removed this subround. Buffered,
 	// not applied — see peelState.pending.
 	o.hPeel = w.RegisterHandler(func(r *ygm.Rank, d *serialize.Decoder) {
@@ -81,9 +87,6 @@ func NewOrienter[VM, EM any](w *ygm.World, part Partitioner, vm serialize.Codec[
 	})
 	o.hBound = w.RegisterHandler(func(r *ygm.Rank, d *serialize.Decoder) {
 		st := &o.st[r.ID()]
-		if st.remote == nil {
-			st.remote = make(map[uint64]boundaryRec[VM])
-		}
 		for d.Remaining() > 0 {
 			id := d.Uvarint()
 			ord := uint32(d.Uvarint())
@@ -140,39 +143,33 @@ func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, mer
 
 	// Boundary exchange: announce every local vertex once to each remote
 	// rank that owns one of its neighbours.
-	if n > 1 {
-		if st.stage == nil {
-			st.stage = make([]*serialize.Encoder, n)
-			st.seen = make([]int32, n)
-		}
-		clear(st.seen)
-		for i := range rl.verts {
-			v := &rl.verts[i]
-			for _, h := range st.nbrs[i] {
-				dest := o.part.Owner(h.nbr, n)
-				if dest == me || st.seen[dest] == int32(i)+1 {
-					continue
-				}
-				st.seen[dest] = int32(i) + 1
-				e := st.stage[dest]
-				if e == nil {
-					e = r.Enc()
-					st.stage[dest] = e
-				}
-				e.PutUvarint(v.ID)
-				e.PutUvarint(uint64(v.Ord))
-				o.vm.Encode(e, v.Meta)
-				if e.Len() >= boundaryFrameBytes {
-					r.Async(dest, o.hBound, e)
-					st.stage[dest] = nil
-				}
+	clear(st.seen)
+	for i := range rl.verts {
+		v := &rl.verts[i]
+		for _, h := range st.nbrs[i] {
+			dest := o.part.Owner(h.nbr, n)
+			if dest == me || st.seen[dest] == int32(i)+1 {
+				continue
 			}
-		}
-		for dest, e := range st.stage {
-			if e != nil {
+			st.seen[dest] = int32(i) + 1
+			e := st.stage[dest]
+			if e == nil {
+				e = r.Enc()
+				st.stage[dest] = e
+			}
+			e.PutUvarint(v.ID)
+			e.PutUvarint(uint64(v.Ord))
+			o.vm.Encode(e, v.Meta)
+			if e.Len() >= boundaryFrameBytes {
 				r.Async(dest, o.hBound, e)
 				st.stage[dest] = nil
 			}
+		}
+	}
+	for dest, e := range st.stage {
+		if e != nil {
+			r.Async(dest, o.hBound, e)
+			st.stage[dest] = nil
 		}
 	}
 	r.Barrier()
@@ -194,7 +191,7 @@ func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, mer
 		for _, h := range st.nbrs[i] {
 			var ord uint32
 			var meta VM
-			if n == 1 || o.part.Owner(h.nbr, n) == me {
+			if o.part.Owner(h.nbr, n) == me {
 				u := &rl.verts[rl.index[h.nbr]]
 				ord, meta = u.Ord, u.Meta
 			} else {
@@ -252,8 +249,9 @@ func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, mer
 // per rank, indexed by rank) into an immutable DODGr: the graph a Builder
 // fed the shards' vertices and live edges would build, without shuffling an
 // edge — the shards already hold every edge at both owners, sorted and
-// deduplicated. Vertices left isolated by expiry are kept. Collective; call
-// outside parallel regions.
+// deduplicated. Vertices left isolated by expiry are kept. An Orienter that
+// takes snapshots serves one stream: every call passes the same shards.
+// Collective; call outside parallel regions.
 func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Ordering) *DODGr[VM, EM] {
 	o.begin()
 	g := o.g
@@ -266,15 +264,7 @@ func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Orde
 		for i := len(st.order); i < len(sh.Verts); i++ {
 			st.order = append(st.order, int32(i))
 		}
-		slices.SortFunc(st.order, func(a, b int32) int {
-			switch ia, ib := sh.Verts[a].ID, sh.Verts[b].ID; {
-			case ia < ib:
-				return -1
-			case ia > ib:
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(st.order, func(a, b int32) int { return cmp.Compare(sh.Verts[a].ID, sh.Verts[b].ID) })
 		verts := make([]Vertex[VM, EM], len(st.order))
 		nbrs := make([][]halfEdge[EM], len(st.order))
 		half := make([]halfEdge[EM], 0, sh.Live())

@@ -330,25 +330,11 @@ func (w *World) RegisterHandler(h Handler) HandlerID {
 func (w *World) ReleaseHandlers(ids ...HandlerID) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.released = append(w.released, ids...)
 	if w.inRegion.Load() {
-		w.released = append(w.released, ids...)
 		return
 	}
-	w.release(ids)
-}
-
-// applyReleased carries out the releases a region asked for, once no rank
-// is reading the table any more.
-func (w *World) applyReleased() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ids := w.released
-	w.released = nil
-	w.release(ids)
-}
-
-func (w *World) release(ids []HandlerID) {
-	for _, id := range ids {
+	for _, id := range w.released {
 		if int(id) >= len(w.handlers) || w.handlers[id] == nil || id == w.hForward {
 			panic(fmt.Sprintf("ygm: ReleaseHandlers of handler %d, which is not registered", id))
 		}
@@ -362,8 +348,9 @@ func (w *World) release(ids []HandlerID) {
 			}
 		}
 	}
+	w.released = w.released[:0]
 	n := len(w.handlers)
-	for n > 0 && w.handlers[n-1] == nil {
+	for w.handlers[n-1] == nil { // slot 0, the relay handler, is never released
 		n--
 	}
 	w.handlers = w.handlers[:n]
@@ -382,14 +369,10 @@ func (w *World) NumHandlers() int {
 // made, by kind: Sync backs Rendezvous, Quiesce the Barrier's termination
 // verdict, Exchange the collectives. Exchange and Sync counts are a pure
 // function of the work done; Quiesce rounds depend on how long the wires
-// take to drain. Safe to read while a region runs.
-type LinkRounds struct {
-	Sync     uint64 `json:"sync"`
-	Quiesce  uint64 `json:"quiesce"`
-	Exchange uint64 `json:"exchange"`
-}
+// take to drain.
+type LinkRounds struct{ Sync, Quiesce, Exchange uint64 }
 
-// LinkRounds returns the link-round counters.
+// LinkRounds returns the link-round counters; safe while a region runs.
 func (w *World) LinkRounds() LinkRounds {
 	return LinkRounds{Sync: w.syncRounds.Load(), Quiesce: w.quiesceRounds.Load(), Exchange: w.exchangeRounds.Load()}
 }
@@ -407,7 +390,6 @@ func (w *World) Parallel(fn func(r *Rank)) {
 	if w.inRegion.Swap(true) {
 		panic("ygm: nested Parallel regions are not supported")
 	}
-	defer w.inRegion.Store(false)
 
 	var wg sync.WaitGroup
 	wg.Add(w.local)
@@ -428,7 +410,8 @@ func (w *World) Parallel(fn func(r *Rank)) {
 		}()
 	}
 	wg.Wait()
-	w.applyReleased()
+	w.inRegion.Store(false)
+	w.ReleaseHandlers() // whatever the region asked to release
 	if w.failed.Load() {
 		w.failedMu.Lock()
 		f := w.failure

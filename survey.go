@@ -6,7 +6,8 @@ import (
 )
 
 // TriangleSurvey is a reusable prepared survey; construct with NewSurvey
-// outside Parallel regions and Run as many times as desired.
+// outside Parallel regions, Run as many times as desired, then Close to
+// give its handler slots (and what they pin) back to the world.
 type TriangleSurvey[VM, EM any] = core.Survey[VM, EM]
 
 // NewSurvey prepares a reusable triangle survey of g, invoking cb on every
