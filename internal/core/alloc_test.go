@@ -4,6 +4,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tripoll/internal/graph"
@@ -75,5 +77,62 @@ func TestStreamIngestAllocBudget(t *testing.T) {
 	}
 	if st.Stats().Triangles == 0 {
 		t.Fatal("stream counted no triangles; the workload did not exercise the survey path")
+	}
+}
+
+// TestPlannedRunSteadyStateAllocs: what a planned count allocates per Run —
+// a fresh Survey each time, as the engine makes them — does not grow with
+// the graph once one Run has sized the pooled scratch (plan columns,
+// negotiation tables, survivor list). Two RedditLike graphs eight-fold apart
+// are compared, per mode; the larger one's plan columns alone are 600 KB, so
+// a Run that allocated them again would stand out by two orders of
+// magnitude. The collector is off while counting — a cycle would empty the
+// pool (and the ygm batch pool) mid-measurement — and GOMAXPROCS is pinned
+// before the sizing Run, not only by AllocsPerRun: a sync.Pool drops what its
+// per-P slots hold when the P count changes.
+func TestPlannedRunSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(n int, mode Mode) (allocs, bytes float64, colBytes uint64) {
+		events := redditEvents(uint64(n/8), n, 7)
+		w := ygm.MustWorld(4, ygm.Options{})
+		defer w.Close()
+		g := buildReddit(t, w, events, graph.OrderDegree)
+		plan := TemporalPlan().CloseWithin((events[len(events)-1].Time - events[0].Time) / 300)
+		run := func() {
+			res, err := Run(g, Options{Mode: mode}, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Triangles == 0 || res.PrunedCandidates == 0 {
+				t.Fatalf("plan did not both match and prune: %+v", res)
+			}
+		}
+		run() // the first call sizes the scratch
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, run)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call besides the measured ones.
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		return allocs, bytes, 9 * g.NumUndirectedEdges()
+	}
+	for _, mode := range []Mode{PushPull, PushOnly} {
+		a1, b1, _ := measure(50_000, mode)
+		a8, b8, cols := measure(400_000, mode)
+		t.Logf("%v: %.0f allocs / %.0f B per Run at 50k events, %.0f / %.0f B at 400k (plan columns there: %d B)",
+			mode, a1, b1, a8, b8, cols)
+		// Slack for what is not the survey's: a Parallel region's goroutines
+		// and the transport's batch buffers in flight vary a little with the
+		// traffic, not with |E|.
+		const slackAllocs, slackBytes = 16, 16 << 10
+		if a8 > a1+slackAllocs || b8 > b1+slackBytes {
+			t.Errorf("%v: a planned Run allocates with the graph: %.0f allocs / %.0f B at 50k events, %.0f / %.0f B at 400k",
+				mode, a1, b1, a8, b8)
+		}
+		if b8 > float64(cols)/8 {
+			t.Errorf("%v: %.0f B per Run at 400k events is within 8× of the plan columns (%d B) — are they allocated per Run?", mode, b8, cols)
+		}
 	}
 }

@@ -55,13 +55,23 @@ func TemporalPlan() *Plan[uint64] {
 
 // WhereEdge adds an edge-metadata predicate; a triangle qualifies only if
 // all three edges satisfy it. Multiple calls AND-compose.
+//
+// pred must be a pure function of the metadata. A survey evaluates it once
+// per adjacency entry (not once per wedge the entry takes part in) into its
+// plan columns, keeps the answer for every Run of that Survey, and asks
+// again only in the match-time residual (MatchEdges) before a callback. A
+// predicate whose answer changes between calls cannot corrupt a message —
+// header counts and payloads are written from the one recorded answer — but
+// which triangles it then selects is unspecified.
 func (p *Plan[EM]) WhereEdge(pred func(EM) bool) *Plan[EM] {
 	p.edgePreds = append(p.edgePreds, pred)
 	return p
 }
 
 // Timestamps installs the accessor that extracts a timestamp from edge
-// metadata, enabling the temporal constraints. The last call wins.
+// metadata, enabling the temporal constraints. The last call wins. Like a
+// WhereEdge predicate, timeOf must be a pure function of the metadata: it is
+// evaluated once per adjacency entry per survey, and again at match time.
 func (p *Plan[EM]) Timestamps(timeOf func(EM) uint64) *Plan[EM] {
 	p.timeOf = timeOf
 	return p
@@ -146,11 +156,7 @@ func (p *Plan[EM]) pairOK(a, b EM) bool {
 	if !p.hasDelta {
 		return true
 	}
-	ta, tb := p.timeOf(a), p.timeOf(b)
-	if ta > tb {
-		ta, tb = tb, ta
-	}
-	return tb-ta <= p.delta
+	return absDiff(p.timeOf(a), p.timeOf(b)) <= p.delta
 }
 
 // MatchEdges is the full triangle predicate over the three edge metadata
@@ -203,7 +209,31 @@ func (p *Plan[EM]) compile() planFilters[EM] {
 	}
 }
 
-// edge applies the single-edge filter (trivially true when inactive).
+// column evaluates everything the plan says about one edge on its own, for
+// a survey's plan columns (planCols): the edge's timestamp (0 without a
+// Timestamps accessor, or when ok is false) and whether the edge passes the
+// single-edge filter — ok is exactly edgeOK(em). The accessor and each
+// predicate are called at most once.
+func (f *planFilters[EM]) column(em EM) (ts uint64, ok bool) {
+	p := &f.plan
+	for _, pred := range p.edgePreds {
+		if !pred(em) {
+			return 0, false
+		}
+	}
+	if p.timeOf == nil {
+		return 0, true
+	}
+	ts = p.timeOf(em)
+	if (p.hasStart && ts < p.start) || (p.hasEnd && ts > p.end) {
+		return 0, false
+	}
+	return ts, true
+}
+
+// edge applies the single-edge filter (trivially true when inactive). The
+// stream's delta traversal calls it (and cand) per wedge; full surveys read
+// plan columns instead.
 func (f *planFilters[EM]) edge(em EM) bool {
 	return !f.hasEdge || f.plan.edgeOK(em)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"tripoll/internal/graph"
@@ -124,13 +126,6 @@ type Survey[VM, EM any] struct {
 	state []rankState[VM, EM]
 }
 
-// reqRef locates a (p, q) wedge source on the requesting rank: the local
-// vertex index of p and the adjacency position of q within Adj⁺ᵐ(p).
-type reqRef struct {
-	vert int32
-	pos  int32
-}
-
 type pullEntry[EM any] struct {
 	id  uint64
 	deg uint32
@@ -138,19 +133,10 @@ type pullEntry[EM any] struct {
 }
 
 type rankState[VM, EM any] struct {
-	// Source side (dry run → push/pull bookkeeping).
-	targVol  map[uint64]uint64   // target vertex → proposed push volume (edges)
-	targReq  map[uint64][]reqRef // target vertex → local wedge sources
-	declined map[uint64]bool     // target vertex → owner declined the pull
-
-	// Target side.
-	pullGrants map[int32][]int32 // local vertex index → granting source ranks
-	numGrants  uint64
-	// filteredAdj memoizes, per local vertex, |{o ∈ Adj⁺ᵐ : edge filter
-	// passes}| — the pull-side cost a plan's edge filter leaves. Populated
-	// lazily by onPropose (hubs receive up to ranks−1 proposes) and reused
-	// by pullPhase. Nil unless the plan has an edge-level filter.
-	filteredAdj map[int32]int32
+	// sc holds the negotiation tables, plan columns and survivor list (see
+	// surveyScratch); nil until the first Run, and for ranks other processes
+	// host.
+	sc *surveyScratch
 
 	// Work accounting.
 	triangles   uint64
@@ -161,9 +147,7 @@ type rankState[VM, EM any] struct {
 	prunedCands   uint64
 	prunedPull    uint64
 
-	scratchTri  Triangle[VM, EM]
-	scratchPull []pullEntry[EM]
-	scratchKeep []int32 // surviving-candidate indices of the batch being built
+	scratchTri Triangle[VM, EM]
 }
 
 // NewSurvey prepares a survey of g invoking cb on every triangle. cb may be
@@ -184,13 +168,21 @@ func NewSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, cb Callback[VM,
 	return s
 }
 
-// Close releases the survey's four handlers — and with them the survey, its
-// per-rank negotiation maps and the graph they reach, which the world's
-// handler table would otherwise pin for as long as the world lives. Call
+// Close releases the survey's four handlers — and with them the survey and
+// the graph it reaches, which the world's handler table would otherwise pin
+// for as long as the world lives — and returns each rank's scratch (plan
+// columns, negotiation tables) to the pool the next survey draws from. Call
 // outside parallel regions once the last Run has returned; the survey must
 // not run afterwards.
 func (s *Survey[VM, EM]) Close() {
 	s.w.ReleaseHandlers(s.hPush, s.hPropose, s.hDecline, s.hPull)
+	for i := range s.state {
+		if sc := s.state[i].sc; sc != nil {
+			sc.cols.built = false
+			scratchPool.Put(sc)
+			s.state[i].sc = nil
+		}
+	}
 }
 
 // NewPlannedSurvey prepares a survey restricted to plan-matching triangles,
@@ -213,25 +205,14 @@ func NewPlannedSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Pl
 // communication statistics to attribute traffic per phase.
 func (s *Survey[VM, EM]) Run() Result {
 	for i := range s.state {
+		if !s.w.Local(i) {
+			continue
+		}
 		st := &s.state[i]
-		if st.targVol == nil {
-			st.targVol = make(map[uint64]uint64)
-			st.targReq = make(map[uint64][]reqRef)
-			st.declined = make(map[uint64]bool)
-			st.pullGrants = make(map[int32][]int32)
-		} else {
-			// Reuse the previous Run's maps: repeated surveys over the same
-			// graph (ablation sweeps, stream rebuilds) were paying a fresh
-			// set of map allocations per rank per run.
-			clear(st.targVol)
-			clear(st.targReq)
-			clear(st.declined)
-			clear(st.pullGrants)
+		if st.sc == nil {
+			st.sc = scratchPool.Get().(*surveyScratch)
 		}
-		st.numGrants = 0
-		if st.filteredAdj != nil {
-			clear(st.filteredAdj)
-		}
+		st.sc.reset()
 		st.triangles = 0
 		st.wedgeChecks = 0
 		st.prunedBatches = 0
@@ -267,7 +248,9 @@ func (s *Survey[VM, EM]) Run() Result {
 	res.Total = time.Since(t0)
 	for i := range s.state {
 		res.Triangles += s.state[i].triangles
-		res.PullsGranted += s.state[i].numGrants
+		if sc := s.state[i].sc; sc != nil {
+			res.PullsGranted += uint64(len(sc.grants))
+		}
 		res.WedgeChecks += s.state[i].wedgeChecks
 		res.PrunedBatches += s.state[i].prunedBatches
 		res.PrunedCandidates += s.state[i].prunedCands
@@ -322,6 +305,44 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 	res.MaxRankWedgeChecks = out[nsum]
 }
 
+// --- Plan columns -------------------------------------------------------
+
+// columns returns rank r's plan columns, building them on the survey's first
+// planned phase: one pass over the rank's adjacency entries that calls the
+// plan's accessor and predicates once each per entry. Every phase body calls
+// it before its first ygm call (see planCols); nil without a plan.
+func (s *Survey[VM, EM]) columns(r *ygm.Rank) *planCols {
+	if !s.plan.active {
+		return nil
+	}
+	c := &s.state[r.ID()].sc.cols
+	if c.built {
+		return c
+	}
+	verts := s.g.LocalVertices(r)
+	n := 0
+	for vi := range verts {
+		n += len(verts[vi].Adj)
+	}
+	c.resize(len(verts), n)
+	k := 0
+	for vi := range verts {
+		c.off[vi] = int32(k)
+		adj := verts[vi].Adj
+		for j := range adj {
+			c.ts[k], c.ok[k] = s.plan.column(adj[j].EMeta)
+			k++
+		}
+	}
+	c.off[len(verts)] = int32(k)
+	c.delta = noDelta
+	if s.plan.hasPair {
+		c.delta = s.plan.plan.delta
+	}
+	c.built = true
+	return c
+}
+
 // --- Dry-run phase (§4.4, "Push vs Pull Dry-Run") ---------------------
 
 // dryRunPhase mimics the push pass over adjacency lists without moving any
@@ -335,47 +356,42 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 // candidate filter — contribute no volume, are never parked, and so are
 // never proposed: their true push cost is zero, and omitting them keeps
 // the dry run's negotiation honest. Surviving wedges propose their
-// *unfiltered* suffix length (a cheap upper bound on the materialized push
-// — the survival scan early-exits at the first passing candidate, keeping
-// the dry run O(out-degree) except for fully-pruned wedges).
+// *unfiltered* suffix length, a cheap upper bound on the materialized push.
+// The survival scan reads the plan columns and stops at the first passing
+// candidate; for a fully-pruned wedge — the common case under a narrow δ —
+// it runs to the end of the suffix, so the dry run is O(out-degree) column
+// reads per wedge there, but never a predicate call.
 func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
 	st := &s.state[r.ID()]
-	f := &s.plan
+	sc := st.sc
+	cols := s.columns(r)
 	verts := s.g.LocalVertices(r)
 	for vi := range verts {
 		p := &verts[vi]
-		for j := 0; j+1 < len(p.Adj); j++ {
-			q := &p.Adj[j]
-			rest := p.Adj[j+1:]
-			if f.active {
+		n := len(p.Adj)
+		base := 0
+		if cols != nil {
+			base = int(cols.off[vi])
+		}
+		for j := 0; j+1 < n; j++ {
+			rest := uint64(n - j - 1)
+			if cols != nil {
 				// Fully-pruned wedges are accounted here, once: the push
 				// phase skips them silently in push-pull mode.
-				if !f.edge(q.EMeta) {
+				if !cols.ok[base+j] || !cols.anyAlive(base+j, base+n) {
 					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
+					st.prunedCands += rest
 					continue
 				}
-				alive := false
-				for k := range rest {
-					if f.cand(q.EMeta, rest[k].EMeta) {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
-					continue
-				}
+				cols.park(base + j)
 			}
-			st.targVol[q.Target] += uint64(len(rest))
-			st.targReq[q.Target] = append(st.targReq[q.Target], reqRef{vert: int32(vi), pos: int32(j)})
+			sc.parkWedge(p.Adj[j].Target, reqRef{vert: int32(vi), pos: int32(j)}, rest)
 		}
 	}
-	for q, vol := range st.targVol {
+	for q, slot := range sc.targ {
 		e := r.Begin(s.g.Owner(q), s.hPropose)
 		e.PutUvarint(q)
-		e.PutUvarint(vol)
+		e.PutUvarint(slot.vol)
 		e.PutUvarint(uint64(r.ID()))
 		r.Commit(e)
 	}
@@ -393,23 +409,17 @@ func (s *Survey[VM, EM]) onPropose(r *ygm.Rank, d *serialize.Decoder) {
 	if d.Err() != nil {
 		panic("core: corrupt propose message: " + d.Err().Error())
 	}
-	st := &s.state[r.ID()]
-	v, ok := s.g.Lookup(r, q)
-	if !ok {
+	sc := s.state[r.ID()].sc
+	vi := s.g.LocalIndex(r, q)
+	if vi < 0 {
 		panic("core: propose for vertex not stored at its owner")
 	}
-	adjLen := len(v.Adj)
-	vi := int32(-1)
+	adjLen := len(s.g.LocalVertices(r)[vi].Adj)
 	if s.plan.hasEdge {
-		vi = s.g.LocalIndex(r, q)
-		adjLen = s.filteredAdjLen(st, vi, v)
+		adjLen = sc.cols.countOK(vi)
 	}
 	if float64(adjLen)*s.opts.PullFactor < float64(vol) {
-		if vi < 0 {
-			vi = s.g.LocalIndex(r, q)
-		}
-		st.pullGrants[vi] = append(st.pullGrants[vi], int32(src))
-		st.numGrants++
+		sc.grants = append(sc.grants, pullGrant{vert: vi, src: int32(src)})
 		return
 	}
 	e := r.Begin(src, s.hDecline)
@@ -417,32 +427,15 @@ func (s *Survey[VM, EM]) onPropose(r *ygm.Rank, d *serialize.Decoder) {
 	r.Commit(e)
 }
 
-// filteredAdjLen returns the edge-filtered length of v's adjacency list,
-// memoized per local vertex for the duration of one Run (hubs are asked
-// once per proposing rank and again by the pull phase).
-func (s *Survey[VM, EM]) filteredAdjLen(st *rankState[VM, EM], vi int32, v *graph.Vertex[VM, EM]) int {
-	if st.filteredAdj == nil {
-		st.filteredAdj = make(map[int32]int32)
-	}
-	if c, ok := st.filteredAdj[vi]; ok {
-		return int(c)
-	}
-	n := 0
-	for k := range v.Adj {
-		if s.plan.edge(v.Adj[k].EMeta) {
-			n++
-		}
-	}
-	st.filteredAdj[vi] = int32(n)
-	return n
-}
-
 func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 	q := d.Uvarint()
 	if d.Err() != nil {
 		panic("core: corrupt decline message: " + d.Err().Error())
 	}
-	s.state[r.ID()].declined[q] = true
+	targ := s.state[r.ID()].sc.targ
+	slot := targ[q]
+	slot.declined = true
+	targ[q] = slot
 }
 
 // --- Push phase (Alg. 1; §4.3) -----------------------------------------
@@ -455,49 +448,51 @@ func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 // the edge filter is never enqueued, candidates failing the candidate
 // filter are dropped before encoding (the surviving subsequence stays
 // sorted, so onPush's merge path is untouched), and a batch whose suffix
-// empties is never enqueued either.
+// empties is never enqueued either. In Push-Pull mode the dry run has
+// already made (and accounted) both decisions and left one parked bit per
+// batch it proposed, so a batch without the bit is skipped on that bit alone.
 func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 	st := &s.state[r.ID()]
-	f := &s.plan
+	sc := st.sc
+	cols := s.columns(r)
 	pushPull := s.opts.Mode == PushPull
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 	verts := s.g.LocalVertices(r)
 	for vi := range verts {
 		p := &verts[vi]
-		for j := 0; j+1 < len(p.Adj); j++ {
-			q := p.Adj[j]
-			rest := p.Adj[j+1:]
-			if f.active && !f.edge(q.EMeta) {
-				// In push-pull mode the dry run already accounted this
-				// fully-pruned wedge; count it here only when no dry run
-				// ran.
-				if !pushPull {
+		n := len(p.Adj)
+		base := 0
+		if cols != nil {
+			base = int(cols.off[vi])
+		}
+		for j := 0; j+1 < n; j++ {
+			if cols != nil {
+				if pushPull {
+					if !cols.isParked(base + j) {
+						continue // fully pruned: nothing was proposed, nothing to ask
+					}
+				} else if !cols.ok[base+j] {
 					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
+					st.prunedCands += uint64(n - j - 1)
+					continue
 				}
-				continue
 			}
-			if pushPull && !st.declined[q.Target] {
+			q := &p.Adj[j]
+			if pushPull && !sc.targ[q.Target].declined {
 				continue // granted pull: the pull phase covers this wedge batch
 			}
-			// Survivors are recorded in one predicate pass: the encode loop
-			// below must not re-evaluate user predicates, both for speed
-			// and so an impure WhereEdge cannot desynchronize the encoded
-			// entry count from the header.
-			filtered := f.active // active implies hasEdge or hasPair (compile)
-			keep := st.scratchKeep[:0]
-			if filtered {
-				for k := range rest {
-					if f.cand(q.EMeta, rest[k].EMeta) {
-						keep = append(keep, int32(k))
-					}
-				}
-				st.scratchKeep = keep
+			rest := p.Adj[j+1:]
+			// Survivors are recorded in one pass over the columns and the
+			// encode loop below works from that list, so the header count
+			// and the entries written cannot disagree.
+			keep := sc.keep[:0]
+			if cols != nil {
+				keep = cols.survivors(keep, base+j, base+n)
+				sc.keep = keep
 				if len(keep) == 0 {
-					if !pushPull {
-						st.prunedBatches++
-						st.prunedCands += uint64(len(rest))
-					}
+					// Only without a dry run: a parked batch has a survivor.
+					st.prunedBatches++
+					st.prunedCands += uint64(len(rest))
 					continue
 				}
 				st.prunedCands += uint64(len(rest) - len(keep))
@@ -515,7 +510,7 @@ func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 			// the gaps are near-zero varints where absolute values (hub
 			// degrees) routinely cost multiple bytes.
 			prevOrd := uint32(0)
-			if filtered {
+			if cols != nil {
 				e.PutUvarint(uint64(len(keep)))
 				for _, k := range keep {
 					c := &rest[k]
@@ -607,37 +602,44 @@ func (s *Survey[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 // sent at all — the parked wedges at the source can close no triangle.
 func (s *Survey[VM, EM]) pullPhase(r *ygm.Rank) {
 	st := &s.state[r.ID()]
-	f := &s.plan
+	sc := st.sc
+	cols := s.columns(r)
+	filtered := s.plan.hasEdge
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 	verts := s.g.LocalVertices(r)
-	for vi, srcs := range st.pullGrants {
+	slices.SortFunc(sc.grants, func(a, b pullGrant) int {
+		return cmp.Or(cmp.Compare(a.vert, b.vert), cmp.Compare(a.src, b.src))
+	})
+	for lo, hi := 0, 0; lo < len(sc.grants); lo = hi {
+		vi := sc.grants[lo].vert
+		for hi = lo + 1; hi < len(sc.grants) && sc.grants[hi].vert == vi; hi++ {
+		}
 		q := &verts[vi]
-		// One predicate pass per vertex (not per reply): the survivor set
-		// is identical across granting sources, and encoding from the
+		// One pass over the columns per vertex (not per reply): the survivor
+		// set is identical across granting sources, and encoding from the
 		// recorded indices keeps the header count and the payload in sync
-		// even under an impure WhereEdge (same invariant as pushPhase).
-		var keep []int32
-		if f.hasEdge {
-			keep = st.scratchKeep[:0]
-			for k := range q.Adj {
-				if f.edge(q.Adj[k].EMeta) {
+		// (same invariant as pushPhase).
+		keep := sc.keep[:0]
+		if filtered {
+			for k, ok := range cols.ok[cols.off[vi]:cols.off[vi+1]] {
+				if ok {
 					keep = append(keep, int32(k))
 				}
 			}
-			st.scratchKeep = keep
-			st.prunedPull += uint64((len(q.Adj) - len(keep)) * len(srcs))
+			sc.keep = keep
+			st.prunedPull += uint64((len(q.Adj) - len(keep)) * (hi - lo))
 			if len(keep) == 0 {
 				continue
 			}
 		}
-		for _, src := range srcs {
-			e := r.Begin(int(src), s.hPull)
+		for _, g := range sc.grants[lo:hi] {
+			e := r.Begin(int(g.src), s.hPull)
 			e.PutUvarint(q.ID)
 			vmC.Encode(e, q.Meta)
 			// Same TOrd gap encoding as the push candidates: Adj⁺ᵐ(q) is
 			// sorted by order key, so the gaps are near-zero varints.
 			prevOrd := uint32(0)
-			if f.hasEdge {
+			if filtered {
 				e.PutUvarint(uint64(len(keep)))
 				for _, k := range keep {
 					o := &q.Adj[k]
@@ -676,7 +678,13 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 	if d.Err() != nil {
 		panic("core: corrupt pull header: " + d.Err().Error())
 	}
-	pulled := st.scratchPull[:0]
+	sc := st.sc
+	buf, _ := sc.pulled.(*[]pullEntry[EM])
+	if buf == nil {
+		buf = new([]pullEntry[EM])
+		sc.pulled = buf
+	}
+	pulled := (*buf)[:0]
 	prevOrd := uint32(0)
 	for i := 0; i < count; i++ {
 		var pe pullEntry[EM]
@@ -689,37 +697,43 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 		}
 		pulled = append(pulled, pe)
 	}
-	st.scratchPull = pulled
+	*buf = pulled
 
-	f := &s.plan
+	cols := s.columns(r) // built: handlers run after the rank's phase body began
 	verts := s.g.LocalVertices(r)
-	for _, ref := range st.targReq[qid] {
+	for n := sc.targ[qid].head; n != 0; n = sc.reqs[n-1].next {
+		ref := sc.reqs[n-1].ref
 		p := &verts[ref.vert]
 		suffix := p.Adj[ref.pos+1:]
 		metaPQ := p.Adj[ref.pos].EMeta
+		e, tq := 0, uint64(0)
+		if cols != nil {
+			e = int(cols.off[ref.vert] + ref.pos)
+			tq = cols.ts[e]
+		}
 		k := 0
 		for i := range suffix {
-			c := &suffix[i]
+			cand := &suffix[i]
 			// Mirror of the push side's candidate pushdown: a filtered
 			// candidate is skipped without advancing the merge cursor.
-			if f.active && !f.cand(metaPQ, c.EMeta) {
+			if cols != nil && !cols.passes(e+1+i, tq) {
 				st.prunedCands++
 				continue
 			}
-			ck := c.Key()
+			ck := cand.Key()
 			k = gallopPullKey(pulled, k, ck)
 			st.wedgeChecks++
-			if k < len(pulled) && pulled[k].id == c.Target {
-				if f.active && !f.tri(metaPQ, c.EMeta, pulled[k].em) {
+			if k < len(pulled) && pulled[k].id == cand.Target {
+				if cols != nil && !s.plan.tri(metaPQ, cand.EMeta, pulled[k].em) {
 					k++
 					continue
 				}
 				st.triangles++
 				if s.cb != nil {
 					t := &st.scratchTri
-					t.P, t.Q, t.R = p.ID, qid, c.Target
-					t.MetaP, t.MetaQ, t.MetaR = p.Meta, metaQ, c.TMeta
-					t.MetaPQ, t.MetaPR, t.MetaQR = metaPQ, c.EMeta, pulled[k].em
+					t.P, t.Q, t.R = p.ID, qid, cand.Target
+					t.MetaP, t.MetaQ, t.MetaR = p.Meta, metaQ, cand.TMeta
+					t.MetaPQ, t.MetaPR, t.MetaQR = metaPQ, cand.EMeta, pulled[k].em
 					s.cb(r, t)
 				}
 				k++

@@ -35,6 +35,11 @@ func Count[VM, EM any](g *Graph[VM, EM], opts SurveyOptions) Result {
 // MatchEdges in the callback (property-tested); the difference is the
 // traffic, which Result's phase stats and Pruned* counters quantify and
 // `tripoll-bench -exp pushdown` measures.
+//
+// WhereEdge predicates and the Timestamps accessor must be pure functions of
+// the edge metadata: a survey evaluates them once per adjacency entry (not
+// once per wedge), keeps the answers for every Run of that survey, and asks
+// again only in MatchEdges before a callback fires.
 type SurveyPlan[EM any] = core.Plan[EM]
 
 // NewSurveyPlan returns an empty plan over the graph's edge-metadata type;
