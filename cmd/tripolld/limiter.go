@@ -81,7 +81,7 @@ func (l *limiter) allow(key string) (ok bool, retryAfter int) {
 // evict drops the quarter of buckets that have gone longest without
 // activity. Called with l.mu held.
 func (l *limiter) evict(now time.Time) {
-	cutoff := now.Add(-time.Duration(l.burst/l.rate*float64(time.Second))) // idle past a full refill
+	cutoff := now.Add(-time.Duration(l.burst / l.rate * float64(time.Second))) // idle past a full refill
 	for k, b := range l.buckets {
 		if b.last.Before(cutoff) {
 			delete(l.buckets, k)

@@ -31,6 +31,7 @@
 //	                              result, otherwise returns a job id to poll
 //	GET  /v1/jobs/{id}            job status (+ result once done)
 //	GET  /v1/jobs/{id}/result     just the result (202 while pending)
+//	                              (results are compact JSON; ?pretty=1 indents)
 //	POST /v1/ingest               (-wal) ingest timestamped edges into the stream
 //	POST /v1/advance              (-wal) advance the stream's expiry watermark
 //
@@ -47,6 +48,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,6 +59,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,6 +97,7 @@ func main() {
 		burst      = flag.Float64("burst", 10, "per-client burst allowance for -rate")
 		maxPending = flag.Int("max-pending", 1024, "shed work with 429 once this many jobs are queued (0 = unbounded)")
 		retain     = flag.Int("retain", 1024, "finished jobs retained for polling before GC")
+		cacheMB    = flag.Int64("cache-mb", tripoll.DefaultQueryCacheBytes>>20, "byte budget, in MiB, of the engine's result cache and (separately) of the results finished jobs retain for polling")
 	)
 	flag.Parse()
 
@@ -212,6 +216,7 @@ func main() {
 	eopts := tripoll.QueryEngineOptions[uint64]{
 		Timestamps: func(t uint64) uint64 { return t },
 		MaxPending: *maxPending,
+		CacheBytes: *cacheMB << 20,
 	}
 	if cluster != nil {
 		// A typed-nil *Cluster in the interface would read as "fanout set";
@@ -277,11 +282,12 @@ func main() {
 		os.Exit(2)
 	}
 	srv := newServer(eng, map[string]tripoll.GraphInfo{*graphName: info}, serverConfig{
-		world:   w,
-		cluster: cluster,
-		limiter: newLimiter(*rate, *burst),
-		retain:  *retain,
-		trussIx: ix,
+		world:       w,
+		cluster:     cluster,
+		limiter:     newLimiter(*rate, *burst),
+		retain:      *retain,
+		retainBytes: *cacheMB << 20,
+		trussIx:     ix,
 	})
 	log.Printf("tripolld listening on %s (%d ranks, %s transport)", *addr, *ranks, *transport)
 	if err := http.ListenAndServe(*addr, srv); err != nil {
@@ -357,8 +363,8 @@ func loadEdges(input, model string, seed int64, size int) ([]tripoll.TemporalEdg
 
 // defaultRetainedJobs bounds the poll window: once exceeded, the oldest
 // *finished* jobs are forgotten (a 404 on a long-finished job beats
-// unbounded growth — map-valued results can be large, and a static
-// graph's engine cache additionally retains distinct answers).
+// unbounded growth — map-valued results can be large, and a job handle
+// pins its answer after the engine cache has let it go).
 const defaultRetainedJobs = 1024
 
 // serverConfig is the production knobs of a server; the zero value means
@@ -368,50 +374,105 @@ type serverConfig struct {
 	cluster *dist.Cluster  // for /metrics mutation-path counters; nil single-process
 	limiter *limiter       // per-client rate limiter; nil = unlimited
 	retain  int            // finished-job retention cap; 0 = defaultRetainedJobs
+	// retainBytes caps what the retained jobs' results may weigh
+	// (QueryResult.ResidentBytes); 0 = tripoll.DefaultQueryCacheBytes.
+	retainBytes int64
 	// trussIx, when -truss-index is on, surfaces the maintained index's
 	// counters under /metrics "truss_index".
 	trussIx *tripoll.TrussIndex[tripoll.Unit]
 }
 
-// server is the HTTP front end over one Engine. Job handles are retained
-// for polling until the retention cap pushes finished ones out.
-type server struct {
-	eng    *tripoll.Engine[tripoll.Unit, uint64]
-	info   map[string]tripoll.GraphInfo
-	mux    *http.ServeMux
-	world     *tripoll.World
-	cluster   *dist.Cluster
-	lim       *limiter
-	retainMax int
-	trussIx   *tripoll.TrussIndex[tripoll.Unit]
-
-	requests    atomic.Uint64 // all requests served
-	rateLimited atomic.Uint64 // 429s from the per-client limiter
-	overloaded  atomic.Uint64 // 429s from engine admission (ErrEngineOverloaded)
-
-	mu    sync.Mutex
-	jobs  map[uint64]*tripoll.QueryJob
-	order []uint64 // insertion order, for eviction
+// retainedJob is a job handle kept for polling and what its result is
+// charged against the retention byte budget (0 until it is seen finished).
+type retainedJob struct {
+	job   *tripoll.QueryJob
+	bytes int64
 }
 
-// retain registers a job for polling, evicting the oldest finished jobs
-// beyond the cap (in-flight jobs are never evicted).
+// server is the HTTP front end over one Engine. Job handles are retained
+// for polling until the retention caps — a count and a byte budget — push
+// finished ones out.
+type server struct {
+	eng         *tripoll.Engine[tripoll.Unit, uint64]
+	info        map[string]tripoll.GraphInfo
+	mux         *http.ServeMux
+	world       *tripoll.World
+	cluster     *dist.Cluster
+	lim         *limiter
+	retainMax   int
+	retainBytes int64
+	trussIx     *tripoll.TrussIndex[tripoll.Unit]
+
+	requests     atomic.Uint64 // all requests served
+	rateLimited  atomic.Uint64 // 429s from the per-client limiter
+	overloaded   atomic.Uint64 // 429s from engine admission (ErrEngineOverloaded)
+	valueEncodes atomic.Uint64 // result replies that ran encoding/json (a cache hit runs none)
+	encodeErrors atomic.Uint64 // replies that could not be encoded (answered 500)
+
+	mu            sync.Mutex
+	jobs          map[uint64]*retainedJob
+	order         []uint64 // insertion order, for eviction
+	unsized       []uint64 // retained jobs not yet seen finished
+	retainedBytes int64    // sum of jobs[*].bytes
+}
+
+// retain registers a job for polling and evicts the oldest finished jobs
+// beyond the caps (in-flight jobs are never evicted).
 func (s *server) retain(j *tripoll.QueryJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[j.ID()] = j
-	s.order = append(s.order, j.ID())
-	for i := 0; len(s.jobs) > s.retainMax && i < len(s.order); i++ {
-		old := s.jobs[s.order[i]]
-		if old == nil {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			i--
+	// Jobs that finished since the last submission are charged here, so an
+	// async job nobody polls still counts against the byte budget.
+	pending := s.unsized[:0]
+	for _, id := range s.unsized {
+		rj := s.jobs[id]
+		if rj == nil {
 			continue
 		}
-		if st := old.Status(); st == tripoll.QueryJobDone || st == tripoll.QueryJobFailed {
-			delete(s.jobs, s.order[i])
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			i--
+		if res, err := rj.job.Result(); err == tripoll.ErrJobNotDone {
+			pending = append(pending, id)
+		} else if err == nil {
+			s.charge(rj, res.ResidentBytes())
+		}
+	}
+	s.unsized = append(pending, j.ID())
+	s.jobs[j.ID()] = &retainedJob{job: j}
+	s.order = append(s.order, j.ID())
+	s.evict()
+}
+
+// settle re-charges a finished job after a reply was built from it: its
+// result now also holds its encoded form.
+func (s *server) settle(j *tripoll.QueryJob, res tripoll.QueryResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rj := s.jobs[j.ID()]; rj != nil {
+		s.charge(rj, res.ResidentBytes())
+		s.evict()
+	}
+}
+
+// charge sets what rj's result weighs. Called with s.mu held.
+func (s *server) charge(rj *retainedJob, bytes int64) {
+	s.retainedBytes += bytes - rj.bytes
+	rj.bytes = bytes
+}
+
+// evict forgets finished jobs, oldest first, while either cap is exceeded.
+// Called with s.mu held.
+func (s *server) evict() {
+	for i := 0; i < len(s.order) && (len(s.jobs) > s.retainMax || s.retainedBytes > s.retainBytes); {
+		rj := s.jobs[s.order[i]]
+		if st := rj.job.Status(); st != tripoll.QueryJobDone && st != tripoll.QueryJobFailed {
+			i++
+			continue
+		}
+		s.retainedBytes -= rj.bytes
+		delete(s.jobs, s.order[i])
+		if i == 0 {
+			s.order = s.order[1:] // the usual case: no shuffle of the whole window per request
+		} else {
+			s.order = slices.Delete(s.order, i, i+1)
 		}
 	}
 }
@@ -420,11 +481,15 @@ func newServer(eng *tripoll.Engine[tripoll.Unit, uint64], info map[string]tripol
 	if cfg.retain <= 0 {
 		cfg.retain = defaultRetainedJobs
 	}
+	if cfg.retainBytes <= 0 {
+		cfg.retainBytes = tripoll.DefaultQueryCacheBytes
+	}
 	s := &server{
 		eng: eng, info: info,
-		world: cfg.world, cluster: cfg.cluster, lim: cfg.limiter, retainMax: cfg.retain,
+		world: cfg.world, cluster: cfg.cluster, lim: cfg.limiter,
+		retainMax: cfg.retain, retainBytes: cfg.retainBytes,
 		trussIx: cfg.trussIx,
-		jobs:    make(map[uint64]*tripoll.QueryJob), mux: http.NewServeMux(),
+		jobs:    make(map[uint64]*retainedJob), mux: http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -447,27 +512,69 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if ok, retryAfter := s.lim.allow(clientKey(r)); !ok {
 			s.rateLimited.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			writeError(w, http.StatusTooManyRequests, "rate limit exceeded; retry after %ds", retryAfter)
+			s.writeError(w, http.StatusTooManyRequests, "rate limit exceeded; retry after %ds", retryAfter)
 			return
 		}
 	}
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// replyBufs pools reply buffers: every JSON reply is built whole before a
+// header goes out, so a failed encode can still be a 500 and a reply is a
+// Content-Length and one Write.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReply keeps the odd megabyte answer from staying resident in
+// the pool.
+const maxPooledReply = 1 << 20
+
+// putReplyBuf returns bp to the pool holding b, the (possibly regrown)
+// slice that was built from it.
+func putReplyBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledReply {
+		*bp = b[:0]
+		replyBufs.Put(bp)
+	}
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // the client went away; nothing to report to
+}
+
+// writeJSON answers with v, indented: /metrics, /v1/analyses, /v1/graphs,
+// errors, mutation replies and unfinished jobs. Finished jobs' results go
+// through writeResult.
+func (s *server) writeJSON(w http.ResponseWriter, code int, v any) {
+	bp := replyBufs.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
+	defer func() { putReplyBuf(bp, buf.Bytes()) }()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// encodeFailed answers 500 for a reply encoding/json refused (a NaN in a
+// custom analysis's value, say) — nothing has been written yet.
+func (s *server) encodeFailed(w http.ResponseWriter, err error) {
+	s.encodeErrors.Add(1)
+	body, _ := json.Marshal(map[string]string{"error": "encode reply: " + err.Error()}) // a string map always marshals
+	writeBody(w, http.StatusInternalServerError, append(body, '\n'))
+}
+
+func (s *server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	s.writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *server) handleGraphs(w http.ResponseWriter, _ *http.Request) {
@@ -481,15 +588,17 @@ func (s *server) handleGraphs(w http.ResponseWriter, _ *http.Request) {
 		ep, _ := s.eng.Epoch(name)
 		out = append(out, graphStatus{Name: name, Epoch: ep, GraphInfo: s.info[name]})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleAnalyses(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.AnalysisInfos())
+	s.writeJSON(w, http.StatusOK, s.eng.AnalysisInfos())
 }
 
 // jobStatus is the wire form of a job's state; Result is present once the
-// job is done, Error once it failed.
+// job is done, Error once it failed. The server marshals it only for
+// unfinished and failed jobs: a done job's reply is assembled by
+// writeResult around the result's own bytes, in this shape.
 type jobStatus struct {
 	Job    uint64               `json:"job"`
 	Status string               `json:"status"`
@@ -497,32 +606,69 @@ type jobStatus struct {
 	Error  string               `json:"error,omitempty"`
 }
 
-func statusOf(j *tripoll.QueryJob) jobStatus {
-	st := jobStatus{Job: j.ID(), Status: j.Status().String()}
+// writeJob answers with j's state. A finished job's result is written
+// from its bytes — inside the job envelope, or bare for the /result
+// endpoint; an unfinished or failed job answers its status under the
+// given codes.
+func (s *server) writeJob(w http.ResponseWriter, j *tripoll.QueryJob, bare, pretty bool, pendingCode, failedCode int) {
 	res, err := j.Result()
 	switch {
 	case err == nil:
-		res.Value = tripoll.QueryJSONValue(res.Value)
-		st.Result = &res
-	case err != tripoll.ErrJobNotDone:
-		st.Error = err.Error()
+		s.writeResult(w, j, res, bare, pretty)
+	case err == tripoll.ErrJobNotDone:
+		s.writeJSON(w, pendingCode, jobStatus{Job: j.ID(), Status: j.Status().String()})
+	default:
+		s.writeJSON(w, failedCode, jobStatus{Job: j.ID(), Status: tripoll.QueryJobFailed.String(), Error: err.Error()})
 	}
-	return st
+}
+
+// writeResult is the reply of a finished job: QueryResult.AppendJSON into
+// a pooled buffer — a copy of bytes encoded once per distinct answer —
+// then one Write.
+func (s *server) writeResult(w http.ResponseWriter, j *tripoll.QueryJob, res tripoll.QueryResult, bare, pretty bool) {
+	bp := replyBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	defer func() { putReplyBuf(bp, b) }()
+	if !bare {
+		b = append(b, `{"job":`...)
+		b = strconv.AppendUint(b, j.ID(), 10)
+		b = append(b, `,"status":"done","result":`...)
+	}
+	b, fresh, err := res.AppendJSON(b)
+	if fresh {
+		s.valueEncodes.Add(1)
+	}
+	if err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	if !bare {
+		b = append(b, '}')
+	}
+	b = append(b, '\n')
+	if pretty {
+		var out bytes.Buffer
+		_ = json.Indent(&out, b, "", "  ") // b is valid JSON: AppendJSON just built it
+		writeBody(w, http.StatusOK, out.Bytes())
+	} else {
+		writeBody(w, http.StatusOK, b)
+	}
+	s.settle(j, res)
 }
 
 // decodeBody decodes a JSON request body into v with a size cap,
 // answering 400 for malformed JSON and 413 for an oversized body. Returns
 // false when a response was already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			s.writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "decode body: %v", err)
+		s.writeError(w, http.StatusBadRequest, "decode body: %v", err)
 		return false
 	}
 	return true
@@ -536,13 +682,13 @@ func (s *server) shed(w http.ResponseWriter, err error) bool {
 	}
 	s.overloaded.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusTooManyRequests, "%v", err)
+	s.writeError(w, http.StatusTooManyRequests, "%v", err)
 	return true
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var spec tripoll.QuerySpec
-	if !decodeBody(w, r, 1<<20, &spec) {
+	if !s.decodeBody(w, r, 1<<20, &spec) {
 		return
 	}
 	// Admission uses the background context: the job must survive this
@@ -551,70 +697,56 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	j, err := s.eng.Submit(context.Background(), spec)
 	if err != nil {
 		if !s.shed(w, err) {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			s.writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	s.retain(j)
 
-	if r.URL.Query().Get("wait") != "" {
-		if _, err := j.Wait(r.Context()); err != nil && err == r.Context().Err() {
-			writeError(w, http.StatusRequestTimeout, "wait: %v", err)
-			return
-		}
-		st := statusOf(j)
-		if st.Error != "" {
-			// Dispatch-time failures here are bad requests the submit-side
-			// validation cannot see (e.g. malformed analysis Args, which
-			// only the factory parses); don't report them as success.
-			writeJSON(w, http.StatusBadRequest, st)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+	q := r.URL.Query()
+	if q.Get("wait") == "" {
+		s.writeJSON(w, http.StatusAccepted, jobStatus{Job: j.ID(), Status: j.Status().String()})
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobStatus{Job: j.ID(), Status: j.Status().String()})
+	if _, err := j.Wait(r.Context()); err != nil && err == r.Context().Err() {
+		s.writeError(w, http.StatusRequestTimeout, "wait: %v", err)
+		return
+	}
+	// Dispatch-time failures here are bad requests the submit-side
+	// validation cannot see (e.g. malformed analysis Args, which only the
+	// factory parses); don't report them as success.
+	s.writeJob(w, j, false, q.Get("pretty") != "", http.StatusOK, http.StatusBadRequest)
 }
 
 func (s *server) lookup(w http.ResponseWriter, r *http.Request) *tripoll.QueryJob {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
+		s.writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
 		return nil
 	}
 	s.mu.Lock()
-	j := s.jobs[id]
+	rj := s.jobs[id]
 	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %d", id)
+	if rj == nil {
+		s.writeError(w, http.StatusNotFound, "unknown job %d", id)
 		return nil
 	}
-	return j
+	return rj.job
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, statusOf(j))
+		s.writeJob(w, j, false, r.URL.Query().Get("pretty") != "", http.StatusOK, http.StatusOK)
 	}
 }
 
+// handleJobResult serves the bare result: 202 with the status while the
+// job is pending, 400 once it failed — job failures are almost always
+// spec-side (args the factory rejected, a graph unregistered between
+// submit and dispatch), a client error, not a server fault.
 func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	res, err := j.Result()
-	switch {
-	case err == nil:
-		res.Value = tripoll.QueryJSONValue(res.Value)
-		writeJSON(w, http.StatusOK, res)
-	case err == tripoll.ErrJobNotDone:
-		writeJSON(w, http.StatusAccepted, statusOf(j))
-	default:
-		// Job failures are almost always spec-side (args the factory
-		// rejected, a graph unregistered between submit and dispatch) —
-		// a client error, not a server fault.
-		writeJSON(w, http.StatusBadRequest, statusOf(j))
+	if j := s.lookup(w, r); j != nil {
+		s.writeJob(w, j, true, r.URL.Query().Get("pretty") != "", http.StatusAccepted, http.StatusBadRequest)
 	}
 }
 
@@ -650,11 +782,11 @@ type ingestRequest struct {
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if !decodeBody(w, r, 8<<20, &req) {
+	if !s.decodeBody(w, r, 8<<20, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, "empty edge batch")
+		s.writeError(w, http.StatusBadRequest, "empty edge batch")
 		return
 	}
 	batch := make([]tripoll.StreamEdge[uint64], len(req.Edges))
@@ -665,12 +797,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := s.eng.Ingest(r.Context(), name, batch)
 	if err != nil {
 		if !s.shed(w, err) {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			s.writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	epoch, _ := s.eng.Epoch(name)
-	writeJSON(w, http.StatusOK, mutationReply{Graph: name, Epoch: epoch, Survey: res})
+	s.writeJSON(w, http.StatusOK, mutationReply{Graph: name, Epoch: epoch, Survey: res})
 }
 
 // advanceRequest is POST /v1/advance's body: the new expiry watermark.
@@ -681,17 +813,17 @@ type advanceRequest struct {
 
 func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceRequest
-	if !decodeBody(w, r, 1<<16, &req) {
+	if !s.decodeBody(w, r, 1<<16, &req) {
 		return
 	}
 	name := s.resolveGraph(req.Graph)
 	res, err := s.eng.Advance(r.Context(), name, req.Cutoff)
 	if err != nil {
 		if !s.shed(w, err) {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			s.writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	epoch, _ := s.eng.Epoch(name)
-	writeJSON(w, http.StatusOK, mutationReply{Graph: name, Epoch: epoch, Survey: res})
+	s.writeJSON(w, http.StatusOK, mutationReply{Graph: name, Epoch: epoch, Survey: res})
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -334,12 +338,12 @@ func TestMetricsSchema(t *testing.T) {
 	if err := json.Unmarshal(raw["engine"], &eng); err != nil {
 		t.Fatalf("engine section: %v", err)
 	}
-	for _, key := range []string{"submitted", "completed", "failed", "shed", "cache_hits", "index_served", "deduped", "coalesced", "traversals", "mutations", "traversal_messages", "traversal_bytes"} {
+	for _, key := range []string{"submitted", "completed", "failed", "shed", "cache_hits", "index_served", "deduped", "coalesced", "traversals", "mutations", "traversal_messages", "traversal_bytes", "cache_entries", "cache_bytes", "cache_evictions"} {
 		if _, ok := eng[key]; !ok {
 			t.Errorf("engine section missing %q: %v", key, eng)
 		}
 	}
-	if eng["submitted"] < 2 || eng["cache_hits"] < 1 {
+	if eng["submitted"] < 2 || eng["cache_hits"] < 1 || eng["cache_entries"] != 1 || eng["cache_bytes"] <= 0 {
 		t.Errorf("counters not live: %v", eng)
 	}
 	var graphs []map[string]any
@@ -356,12 +360,12 @@ func TestMetricsSchema(t *testing.T) {
 	if err := json.Unmarshal(raw["http"], &httpSec); err != nil {
 		t.Fatalf("http section: %v", err)
 	}
-	for _, key := range []string{"requests", "rate_limited", "overloaded", "jobs_retained"} {
+	for _, key := range []string{"requests", "rate_limited", "overloaded", "jobs_retained", "retained_bytes", "value_encodes", "encode_errors"} {
 		if _, ok := httpSec[key]; !ok {
 			t.Errorf("http section missing %q: %v", key, httpSec)
 		}
 	}
-	if httpSec["requests"] < 3 || httpSec["jobs_retained"] < 2 {
+	if httpSec["requests"] < 3 || httpSec["jobs_retained"] < 2 || httpSec["retained_bytes"] <= 0 || httpSec["value_encodes"] != 1 {
 		t.Errorf("http counters not live: %v", httpSec)
 	}
 	var world map[string]float64
@@ -558,6 +562,257 @@ func TestServedQueriesDoNotLeak(t *testing.T) {
 	}
 	if after.HTTP.JobsRetained != retain {
 		t.Errorf("jobs_retained = %d, want the cap %d", after.HTTP.JobsRetained, retain)
+	}
+}
+
+// TestDistinctSurveysStayUnderCeiling is the memory ceiling of the answers
+// the service keeps: distinct map-valued surveys worth four times the byte
+// budget leave the heap where it was at twice the budget, and neither the
+// engine's cache nor the retained jobs are ever charged more than the
+// budget. (Without the budget every one of them stayed resident twice: in
+// the cache, and pinned by its job handle.)
+func TestDistinctSurveysStayUnderCeiling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const budget = 1 << 20
+	p := datagen.DefaultRedditParams()
+	p.Events, p.Users = 4000, 500
+	w := tripoll.NewWorld(2)
+	g := tripoll.BuildTemporal(w, datagen.RedditLike(p))
+	eng := tripoll.NewQueryEngine(tripoll.TemporalQueryRegistry(), tripoll.QueryEngineOptions[uint64]{
+		Timestamps: func(ts uint64) uint64 { return ts },
+		CacheBytes: budget,
+	})
+	if err := eng.Register("default", g); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{world: w, retainBytes: budget})
+	defer func() { eng.Close(); w.Close() }()
+
+	metrics := func() metricsPayload {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m metricsPayload
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || rec.Code != 200 {
+			t.Fatalf("metrics: code=%d err=%v", rec.Code, err)
+		}
+		return m
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	// A reply is no larger than what its result is charged, so reply bytes
+	// under-state the worth driven.
+	var worth, surveys int
+	var at2x uint64
+	for i := 0; worth < 4*budget; i++ {
+		analysis := "edgecounts"
+		if i%2 == 1 {
+			analysis = "localcounts"
+		}
+		h := newHitRequest(t, `{"analysis":"`+analysis+`","delta":`+jsonNum(uint64(1<<40+i))+`}`)
+		code, n := h.serve(srv)
+		if code != 200 {
+			t.Fatalf("survey %d: code=%d", i, code)
+		}
+		worth += n
+		surveys++
+		m := metrics()
+		if m.Engine.CacheBytes > budget || m.HTTP.RetainedBytes > budget {
+			t.Fatalf("after survey %d: cache_bytes=%d retained_bytes=%d over the budget %d", i, m.Engine.CacheBytes, m.HTTP.RetainedBytes, budget)
+		}
+		if at2x == 0 && worth >= 2*budget {
+			at2x = heapInuse()
+		}
+	}
+	at4x := heapInuse()
+	m := metrics()
+	t.Logf("%d surveys, %d reply bytes: HeapInuse %d at 2x the budget, %d at 4x; cache %d entries / %d bytes / %d evictions, %d jobs / %d bytes retained",
+		surveys, worth, at2x, at4x, m.Engine.CacheEntries, m.Engine.CacheBytes, m.Engine.CacheEvictions, m.HTTP.JobsRetained, m.HTTP.RetainedBytes)
+	if at4x > at2x+budget/2 {
+		t.Errorf("HeapInuse grew %d bytes while another 2x the budget (%d) of answers went by", at4x-at2x, 2*budget)
+	}
+	if m.Engine.CacheEvictions == 0 || m.HTTP.JobsRetained >= surveys {
+		t.Errorf("nothing was let go: %d cache evictions, %d of %d jobs retained", m.Engine.CacheEvictions, m.HTTP.JobsRetained, surveys)
+	}
+	if int(m.HTTP.ValueEncodes) != surveys {
+		t.Errorf("value_encodes = %d for %d distinct surveys", m.HTTP.ValueEncodes, surveys)
+	}
+}
+
+// TestCacheHitEncodesNothing pins the hit path's work on any host: K
+// distinct questions cost K encodes however often they are re-asked, and
+// what a hit allocates does not depend on the size of the answer.
+func TestCacheHitEncodesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := datagen.DefaultRedditParams()
+	p.Events, p.Users = 4000, 500
+	w := tripoll.NewWorld(2)
+	g := tripoll.BuildTemporal(w, datagen.RedditLike(p))
+	eng := tripoll.NewTemporalQueryEngine()
+	if err := eng.Register("default", g); err != nil {
+		t.Fatal(err)
+	}
+	handler := newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{world: w})
+	srv := httptest.NewServer(handler)
+	defer func() { srv.Close(); eng.Close(); w.Close() }()
+
+	specs := []string{
+		`{"analysis":"count","delta":86400}`,
+		`{"analysis":"closure","delta":86400}`,
+		`{"analysis":"cc","delta":86400}`,
+		`{"analysis":"localcounts","delta":86400}`,
+		`{"analysis":"edgecounts","delta":86400}`,
+	}
+	var first []jobStatus
+	for _, spec := range specs {
+		var st jobStatus
+		if code := postJSON(t, srv.URL+"/v1/query?wait=1", spec, &st); code != 200 || st.Result == nil || st.Result.Cached {
+			t.Fatalf("warm %s: code=%d %+v", spec, code, st)
+		}
+		first = append(first, st)
+	}
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		for k, spec := range specs {
+			var st jobStatus
+			if code := postJSON(t, srv.URL+"/v1/query?wait=1", spec, &st); code != 200 || st.Result == nil || !st.Result.Cached {
+				t.Fatalf("hit %s: code=%d %+v", spec, code, st)
+			}
+			if i == 0 && !reflect.DeepEqual(st.Result.Value, first[k].Result.Value) {
+				t.Errorf("hit %s: value differs from the first answer", spec)
+			}
+		}
+	}
+	// Polling a finished job re-serves the same bytes too.
+	var poll jobStatus
+	if code := getJSON(t, srv.URL+"/v1/jobs/"+jsonNum(first[4].Job), &poll); code != 200 || poll.Result == nil {
+		t.Fatalf("poll: code=%d %+v", code, poll)
+	}
+	var m metricsPayload
+	getJSON(t, srv.URL+"/metrics", &m)
+	if int(m.HTTP.ValueEncodes) != len(specs) || m.Engine.CacheHits != rounds*uint64(len(specs)) {
+		t.Errorf("value_encodes = %d after %d distinct questions and %d hits (engine.cache_hits %d)",
+			m.HTTP.ValueEncodes, len(specs), rounds*len(specs), m.Engine.CacheHits)
+	}
+
+	allocs := func(spec string) (perHit float64, replyBytes int) {
+		h := newHitRequest(t, spec)
+		if code, _ := h.serve(handler); code != 200 {
+			t.Fatalf("%s: warm hit failed: %d", spec, code)
+		}
+		perHit = testing.AllocsPerRun(200, func() { _, replyBytes = h.serve(handler) })
+		return perHit, replyBytes
+	}
+	small, smallBytes := allocs(specs[0])
+	large, largeBytes := allocs(specs[4])
+	t.Logf("allocations per hit: %v for a %d-byte reply, %v for a %d-byte reply", small, smallBytes, large, largeBytes)
+	if largeBytes < 8*smallBytes {
+		t.Fatalf("edgecounts reply (%d bytes) is not much larger than count's (%d): the comparison says nothing", largeBytes, smallBytes)
+	}
+	// Within one: under -race a sync.Pool drops a quarter of what it is
+	// handed, and the average's rounding can fall either side. A reply that
+	// grew a buffer or walked the value would differ by its size.
+	if math.Abs(small-large) > 1 {
+		t.Errorf("a hit's allocations depend on the answer's size: %v (count) vs %v (edgecounts)", small, large)
+	}
+}
+
+// TestPrettyIsOptIn: result replies are one compact line with a
+// Content-Length; ?pretty=1 indents the same bytes.
+func TestPrettyIsOptIn(t *testing.T) {
+	srv, _ := newTestServer(t)
+	read := func(resp *http.Response) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("reply: code=%d err=%v", resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(buf.Len()) {
+			t.Errorf("Content-Length %d for a %d-byte body", resp.ContentLength, buf.Len())
+		}
+		return buf.Bytes()
+	}
+	compact := read(postRaw(t, srv.URL+"/v1/query?wait=1", `{"analysis":"closure"}`))
+	if n := bytes.Count(compact, []byte("\n")); n != 1 || bytes.Contains(compact, []byte(": ")) {
+		t.Errorf("default reply is not one compact line (%d newlines): %.120s", n, compact)
+	}
+	pretty := read(postRaw(t, srv.URL+"/v1/query?wait=1&pretty=1", `{"analysis":"closure"}`))
+	if !bytes.Contains(pretty, []byte("\n  \"status\": \"done\"")) {
+		t.Errorf("?pretty=1 reply is not indented: %.120s", pretty)
+	}
+	var a, b jobStatus
+	if err := json.Unmarshal(compact, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(pretty, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Result.Value, b.Result.Value) || a.Result.Survey.Triangles != b.Result.Survey.Triangles {
+		t.Errorf("pretty and compact replies disagree")
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + jsonNum(a.Job) + "/result?pretty=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if bare := read(resp); !bytes.HasPrefix(bare, []byte("{\n  \"graph\": \"default\"")) {
+		t.Errorf("bare ?pretty=1 result is not indented: %.120s", bare)
+	}
+}
+
+// TestEncodeFailureIs500: a value encoding/json refuses used to be a 200
+// with a truncated body. Replies are encoded before any header goes out,
+// so it is a 500 with a JSON error and a count — on the result path and on
+// writeJSON's.
+func TestEncodeFailureIs500(t *testing.T) {
+	p := datagen.DefaultRedditParams()
+	p.Events, p.Users = 1000, 200
+	w := tripoll.NewWorld(2)
+	g := tripoll.BuildTemporal(w, datagen.RedditLike(p))
+	reg := tripoll.TemporalQueryRegistry()
+	reg.Register("nan", func(*tripoll.Graph[tripoll.Unit, uint64], tripoll.QuerySpec) (tripoll.QueryAnalysisInstance[tripoll.Unit, uint64], error) {
+		out := new(uint64)
+		return tripoll.QueryAnalysisInstance[tripoll.Unit, uint64]{
+			Attached: tripoll.CountAnalysis[tripoll.Unit, uint64]().Bind(out),
+			Result:   func() any { return struct{ Ratio float64 }{math.NaN()} },
+		}, nil
+	})
+	eng := tripoll.NewQueryEngine(reg, tripoll.QueryEngineOptions[uint64]{Timestamps: func(ts uint64) uint64 { return ts }})
+	if err := eng.Register("default", g); err != nil {
+		t.Fatal(err)
+	}
+	handler := newServer(eng, map[string]tripoll.GraphInfo{"default": tripoll.Info(g)}, serverConfig{})
+	srv := httptest.NewServer(handler)
+	t.Cleanup(func() { srv.Close(); eng.Close(); w.Close() })
+
+	// Twice: the second asker gets the cached answer's remembered failure.
+	for i := 0; i < 2; i++ {
+		var e map[string]string
+		if code := postJSON(t, srv.URL+"/v1/query?wait=1", `{"analysis":"nan"}`, &e); code != 500 || !strings.Contains(e["error"], "encode reply") {
+			t.Errorf("unencodable value, ask %d: code=%d body=%v, want 500 with an encode error", i, code, e)
+		}
+	}
+	rec := httptest.NewRecorder()
+	handler.writeJSON(rec, http.StatusOK, math.Inf(1))
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != 500 || err != nil || e["error"] == "" {
+		t.Errorf("writeJSON of an unencodable value: code=%d body=%q", rec.Code, rec.Body)
+	}
+	var m metricsPayload
+	getJSON(t, srv.URL+"/metrics", &m)
+	if m.HTTP.EncodeErrors != 3 {
+		t.Errorf("encode_errors = %d, want 3", m.HTTP.EncodeErrors)
+	}
+	// The service is unharmed.
+	var st jobStatus
+	if code := postJSON(t, srv.URL+"/v1/query?wait=1", `{"analysis":"count"}`, &st); code != 200 || st.Result == nil {
+		t.Errorf("count after the failures: code=%d %+v", code, st)
 	}
 }
 

@@ -3,12 +3,19 @@
 // Schema (asserted by TestMetricsSchema):
 //
 //	{
-//	  "engine":         engine.Stats (submitted/completed/shed/cache_hits/...),
+//	  "engine":         engine.Stats (submitted/completed/shed/cache_hits/...; the
+//	                     result cache's "cache_entries", "cache_bytes" (≤ -cache-mb)
+//	                     and "cache_evictions"),
 //	  "queue_depth":    jobs awaiting the scheduler's next admission batch,
 //	  "cache_hit_rate": cache_hits / completed,
 //	  "coalesce_ratio": coalesced / completed,
 //	  "graphs":         [{"name", "epoch", "durable": {"wal": wal.Stats, ...}}],
-//	  "http":           {"requests", "rate_limited", "overloaded", "jobs_retained"},
+//	  "http":           {"requests", "rate_limited", "overloaded", "jobs_retained",
+//	                     "retained_bytes" (what the retained jobs' results weigh, ≤
+//	                     -cache-mb), "value_encodes" (result replies that ran
+//	                     encoding/json: one per distinct answer, none per cache hit),
+//	                     "encode_errors" (replies answered 500 because they could not
+//	                     be encoded)},
 //	  "world":          {"messages_sent", "messages_processed", "handlers" (handler-table
 //	                     length: flat across queries), "link_sync_rounds",
 //	                     "link_quiesce_rounds", "link_exchange_rounds" (process-link
@@ -37,6 +44,11 @@ type httpMetrics struct {
 	RateLimited  uint64 `json:"rate_limited"`
 	Overloaded   uint64 `json:"overloaded"`
 	JobsRetained int    `json:"jobs_retained"`
+	// RetainedBytes, ValueEncodes and EncodeErrors are pure functions of the
+	// requests served — host-independent.
+	RetainedBytes int64  `json:"retained_bytes"`
+	ValueEncodes  uint64 `json:"value_encodes"`
+	EncodeErrors  uint64 `json:"encode_errors"`
 }
 
 type worldMetrics struct {
@@ -92,9 +104,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		CacheHitRate:  ratio(st.CacheHits, st.Completed),
 		CoalesceRatio: ratio(st.Coalesced, st.Completed),
 		HTTP: httpMetrics{
-			Requests:    s.requests.Load(),
-			RateLimited: s.rateLimited.Load(),
-			Overloaded:  s.overloaded.Load(),
+			Requests:     s.requests.Load(),
+			RateLimited:  s.rateLimited.Load(),
+			Overloaded:   s.overloaded.Load(),
+			ValueEncodes: s.valueEncodes.Load(),
+			EncodeErrors: s.encodeErrors.Load(),
 		},
 	}
 	for _, name := range s.eng.Graphs() {
@@ -106,7 +120,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.Graphs = append(m.Graphs, gm)
 	}
 	s.mu.Lock()
-	m.HTTP.JobsRetained = len(s.jobs)
+	m.HTTP.JobsRetained, m.HTTP.RetainedBytes = len(s.jobs), s.retainedBytes
 	s.mu.Unlock()
 	if s.world != nil {
 		sent, proc := s.world.TransportCounters()
@@ -123,5 +137,5 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := s.trussIx.Stats()
 		m.TrussIndex = &st
 	}
-	writeJSON(w, http.StatusOK, m)
+	s.writeJSON(w, http.StatusOK, m)
 }

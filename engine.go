@@ -35,6 +35,10 @@ type Engine[VM, EM any] = engine.Engine[VM, EM]
 // temporal constraints of QuerySpecs.
 type QueryEngineOptions[EM any] = engine.EngineOptions[EM]
 
+// DefaultQueryCacheBytes is the result cache's byte budget when
+// QueryEngineOptions.CacheBytes is zero (tripolld's -cache-mb default).
+const DefaultQueryCacheBytes = engine.DefaultCacheBytes
+
 // QueryJob is the handle Submit returns: a one-shot future for a
 // QueryResult.
 type QueryJob = engine.Job

@@ -310,7 +310,7 @@ func TestAdmissionQueueSheds(t *testing.T) {
 		reg:      TemporalRegistry(),
 		opts:     EngineOptions[uint64]{Timestamps: func(ts uint64) uint64 { return ts }, MaxPending: 2},
 		graphs:   map[string]*graphEntry[serialize.Unit, uint64]{},
-		cache:    map[cacheKey]QueryResult{},
+		cache:    newResultCache(0),
 		loopDone: make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)

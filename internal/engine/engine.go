@@ -76,6 +76,9 @@ type EngineOptions[EM any] struct {
 	// Requires Fanout from the same world; streams must be opened with
 	// OpenDurableStream (the WAL stays driver-side).
 	Mutator Mutator
+	// CacheBytes is the result cache's budget in bytes (an LRU; see
+	// resultCache for what an entry is charged). 0 means DefaultCacheBytes.
+	CacheBytes int64
 }
 
 // Stats counts what the engine has done since New. Traversal* fields
@@ -95,6 +98,9 @@ type Stats struct {
 	Mutations         uint64 `json:"mutations"`          // stream mutations executed
 	TraversalMessages int64  `json:"traversal_messages"` // transport messages across all traversals
 	TraversalBytes    int64  `json:"traversal_bytes"`    // transport bytes across all traversals
+	CacheEntries      int    `json:"cache_entries"`      // answers resident in the result cache now
+	CacheBytes        int64  `json:"cache_bytes"`        // what those entries are charged now (≤ EngineOptions.CacheBytes)
+	CacheEvictions    uint64 `json:"cache_evictions"`    // entries the byte budget pushed out (epoch purges not counted)
 }
 
 // QueryResult is one job's answer.
@@ -107,7 +113,8 @@ type QueryResult struct {
 	Epoch uint64 `json:"epoch"`
 	// Value is the analysis result. It may be shared with other jobs (the
 	// cache, and twins deduped in the same batch, return the same value);
-	// treat it as immutable. Use JSONValue before marshaling.
+	// treat it as immutable. AppendJSON is its wire form; marshal by hand
+	// only through JSONValue.
 	Value any `json:"value"`
 	// Cached reports the answer came from the result cache; Survey then
 	// describes the traversal that originally produced it.
@@ -122,6 +129,10 @@ type QueryResult struct {
 	// its Triangles and Pruned* counters describe the union plan, not this
 	// job's own (Value is always this job's own answer).
 	Survey core.Result `json:"survey"`
+
+	// enc is the encode-once cell every copy of a traversal's answer
+	// shares (see AppendJSON); nil for index-served answers and mutations.
+	enc *encoded
 }
 
 // JobStatus is a job's lifecycle state.
@@ -261,12 +272,6 @@ type cacheKey struct {
 	share  string // canonical plan key + analysis id
 }
 
-// maxCacheEntries bounds the result cache. Static graphs never bump
-// their epoch, so without a bound every distinct question ever asked
-// would stay resident; at the cap an arbitrary ~1/8 of entries is
-// evicted (the cache is a cost saver, not a correctness structure).
-const maxCacheEntries = 4096
-
 // Engine is the long-lived query engine. Construct with New, register
 // graphs and streams, Submit from any goroutine, Close when done. All
 // traversals and mutations execute on one internal scheduler goroutine;
@@ -279,7 +284,7 @@ type Engine[VM, EM any] struct {
 	cond    *sync.Cond
 	graphs  map[string]*graphEntry[VM, EM]
 	pending []*Job
-	cache   map[cacheKey]QueryResult
+	cache   *resultCache
 	stats   Stats
 	nextID  uint64
 	closed  bool
@@ -295,7 +300,7 @@ func New[VM, EM any](reg *Registry[VM, EM], opts EngineOptions[EM]) *Engine[VM, 
 		reg:      reg,
 		opts:     opts,
 		graphs:   make(map[string]*graphEntry[VM, EM]),
-		cache:    make(map[cacheKey]QueryResult),
+		cache:    newResultCache(opts.CacheBytes),
 		loopDone: make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
@@ -442,7 +447,9 @@ func (e *Engine[VM, EM]) AttachIndex(name string, ix IndexServer) error {
 func (e *Engine[VM, EM]) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	st := e.stats
+	st.CacheEntries, st.CacheBytes, st.CacheEvictions = len(e.cache.entries), e.cache.bytes, e.cache.evictions
+	return st
 }
 
 // Submit validates and enqueues one query, returning its Job immediately.
@@ -455,7 +462,42 @@ func (e *Engine[VM, EM]) Submit(ctx context.Context, spec Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	if e.hitInline(j) {
+		return j, nil
+	}
 	return j, e.enqueue(j)
+}
+
+// hitInline answers j on the submitting goroutine when its question is
+// already cached for the graph's current epoch: the epoch and the cache are
+// read in one critical section and the job completes here, counted as the
+// scheduler counts a hit, without waking the scheduler and being woken by
+// it. Everything else — NoCache, a dead ctx, a closed engine, a graph with
+// an attached index (asked first, and part of the cache key), a miss —
+// takes the queue; runGroup's own lookup still serves jobs that were
+// queued behind the traversal that answers them.
+func (e *Engine[VM, EM]) hitInline(j *Job) bool {
+	if j.spec.NoCache || (j.ctx != nil && j.ctx.Err() != nil) {
+		return false
+	}
+	pay := j.payload.(*queryPayload[VM, EM])
+	e.mu.Lock()
+	entry := e.graphs[j.spec.Graph]
+	if e.closed || entry == nil || entry.index != nil {
+		e.mu.Unlock()
+		return false
+	}
+	qr, ok := e.cache.get(cacheKey{graph: j.spec.Graph, epoch: entry.epoch, opts: pay.opts, share: pay.shareKey()})
+	if ok {
+		e.stats.Submitted++
+	}
+	e.mu.Unlock()
+	if !ok {
+		return false
+	}
+	qr.Cached = true
+	e.complete(j, qr, true)
+	return true
 }
 
 // SubmitAll validates every spec, then enqueues all of them atomically: the
@@ -758,6 +800,7 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 				rest = append(rest, j)
 				continue
 			}
+			e.bump(func(st *Stats) { st.IndexServed++ })
 			e.complete(j, QueryResult{
 				Graph:         name,
 				Analysis:      j.spec.Analysis,
@@ -766,7 +809,6 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 				IndexServed:   true,
 				CoalescedWith: 1,
 			}, false)
-			e.bump(func(st *Stats) { st.IndexServed++ })
 		}
 		jobs = rest
 		if len(jobs) == 0 {
@@ -788,7 +830,10 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 		pay := j.payload.(*queryPayload[VM, EM])
 		key := cacheKey{graph: name, epoch: epoch, iepoch: ixEpoch, opts: opts, share: pay.shareKey()}
 		if !j.spec.NoCache {
-			if qr, ok := e.cacheGet(key); ok {
+			e.mu.Lock()
+			qr, ok := e.cache.get(key)
+			e.mu.Unlock()
+			if ok {
 				qr.Cached = true
 				e.complete(j, qr, true)
 				continue
@@ -892,30 +937,45 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 	for _, s := range live {
 		njobs += 1 + len(s.followers)
 	}
+	if njobs > 1 {
+		e.bump(func(st *Stats) { st.Coalesced += uint64(njobs) })
+	}
 	for _, s := range live {
+		val := s.inst.Result()
+		cell := &encoded{decoded: valueFootprint(val)}
 		qr := QueryResult{
 			Graph:         name,
 			Analysis:      s.leader.spec.Analysis,
 			Epoch:         epoch,
-			Value:         s.inst.Result(),
+			Value:         val,
 			CoalescedWith: njobs,
 			Survey:        res,
+			enc:           cell,
 		}
-		e.complete(s.leader, qr, false)
+		// A cache-willing follower deduped onto a NoCache leader still
+		// wants the answer cached; NoCache only opts out its own job.
 		wantCache := !s.leader.spec.NoCache
 		for _, f := range s.followers {
-			e.complete(f, qr, false)
-			e.bump(func(st *Stats) { st.Deduped++ })
-			// A cache-willing follower deduped onto a NoCache leader still
-			// wants the answer cached; NoCache only opts out its own job.
 			wantCache = wantCache || !f.spec.NoCache
 		}
 		if wantCache {
-			e.cachePut(s.key, qr)
+			// Cached before any job completes: whichever waiter encodes the
+			// answer first must find the entry its length is charged to.
+			key := s.key
+			cell.filled = func(c *encoded) {
+				e.mu.Lock()
+				e.cache.charge(key, c)
+				e.mu.Unlock()
+			}
+			e.mu.Lock()
+			e.cache.put(key, qr)
+			e.mu.Unlock()
 		}
-	}
-	if njobs > 1 {
-		e.bump(func(st *Stats) { st.Coalesced += uint64(njobs) })
+		e.complete(s.leader, qr, false)
+		for _, f := range s.followers {
+			e.bump(func(st *Stats) { st.Deduped++ })
+			e.complete(f, qr, false)
+		}
 	}
 }
 
@@ -1038,38 +1098,12 @@ func (e *Engine[VM, EM]) runMutation(j *Job) {
 	m.entry.stale = true
 	epoch := m.entry.epoch
 	e.stats.Mutations++
-	for k := range e.cache {
-		if k.graph == m.entry.name && k.epoch < epoch {
-			delete(e.cache, k)
-		}
-	}
+	e.cache.purge(m.entry.name, epoch)
 	e.mu.Unlock()
 	e.complete(j, QueryResult{Graph: m.entry.name, Epoch: epoch, Survey: res}, false)
 	if m.entry.dur != nil {
 		e.maybeCheckpoint(m.entry)
 	}
-}
-
-func (e *Engine[VM, EM]) cacheGet(k cacheKey) (QueryResult, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qr, ok := e.cache[k]
-	return qr, ok
-}
-
-func (e *Engine[VM, EM]) cachePut(k cacheKey, qr QueryResult) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.cache) >= maxCacheEntries {
-		drop := maxCacheEntries / 8
-		for old := range e.cache {
-			delete(e.cache, old)
-			if drop--; drop <= 0 {
-				break
-			}
-		}
-	}
-	e.cache[k] = qr
 }
 
 func (e *Engine[VM, EM]) bump(f func(*Stats)) {
@@ -1078,25 +1112,27 @@ func (e *Engine[VM, EM]) bump(f func(*Stats)) {
 	f(&e.stats)
 }
 
+// complete and fail count the job before they release its waiters, so a
+// caller that reads Stats after Wait sees its own job counted.
 func (e *Engine[VM, EM]) complete(j *Job, qr QueryResult, fromCache bool) {
-	j.mu.Lock()
-	j.status = JobDone
-	j.res = qr
-	j.mu.Unlock()
-	close(j.done)
 	e.bump(func(st *Stats) {
 		st.Completed++
 		if fromCache {
 			st.CacheHits++
 		}
 	})
+	j.mu.Lock()
+	j.status = JobDone
+	j.res = qr
+	j.mu.Unlock()
+	close(j.done)
 }
 
 func (e *Engine[VM, EM]) fail(j *Job, err error) {
+	e.bump(func(st *Stats) { st.Failed++ })
 	j.mu.Lock()
 	j.status = JobFailed
 	j.err = err
 	j.mu.Unlock()
 	close(j.done)
-	e.bump(func(st *Stats) { st.Failed++ })
 }

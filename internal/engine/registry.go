@@ -308,8 +308,9 @@ type EdgeCount struct {
 // JSONValue converts a stock analysis result into a form encoding/json
 // can marshal faithfully: Joint2D grids become sorted cell lists and
 // EdgeKey-keyed maps become sorted edge lists; everything else passes
-// through unchanged. tripolld applies it to every result it ships, and the
-// coalesce ablation uses it to compare per-job results byte-for-byte.
+// through unchanged. QueryResult.AppendJSON applies it to every result
+// tripolld ships, and the coalesce ablation uses it to compare per-job
+// results byte-for-byte.
 func JSONValue(v any) any {
 	switch t := v.(type) {
 	case *stats.Joint2D:

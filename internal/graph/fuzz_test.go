@@ -59,10 +59,10 @@ func FuzzSnapshot(f *testing.F) {
 	// One vertex claiming a huge adjacency list.
 	e.Reset()
 	e.PutUvarint(1)
-	e.PutUvarint(7)     // ID
-	e.PutUvarint(3)     // Deg
-	e.PutUvarint(3)     // Ord
-	e.PutUvarint(9)     // Meta (uint64 codec)
+	e.PutUvarint(7) // ID
+	e.PutUvarint(3) // Deg
+	e.PutUvarint(3) // Ord
+	e.PutUvarint(9) // Meta (uint64 codec)
 	e.PutUvarint(1 << 40)
 	f.Add(e.Bytes())
 

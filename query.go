@@ -49,5 +49,6 @@ func TemporalQueryRegistry() *QueryRegistry[serialize.Unit, uint64] {
 
 // QueryJSONValue converts a stock analysis result into a faithfully
 // JSON-marshalable form (Joint2D grids become sorted cell lists, EdgeKey
-// maps become sorted edge lists); tripolld applies it to every result.
+// maps become sorted edge lists); QueryResult.AppendJSON, which builds
+// every reply tripolld ships, applies it.
 var QueryJSONValue = engine.JSONValue
