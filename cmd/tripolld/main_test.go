@@ -412,6 +412,25 @@ func TestMetricsSchema(t *testing.T) {
 			t.Errorf("dist.mutation missing %q: %s", key, distSec["mutation"])
 		}
 	}
+	// Likewise the truss_index section (-truss-index only): bench/run.go
+	// reads buckets, served and recomputed by these names.
+	if _, ok := raw["truss_index"]; ok {
+		t.Errorf("metrics without -truss-index report a truss_index section: %v", raw)
+	}
+	ixJSON, err := json.Marshal(tripoll.TrussIndexStats{})
+	if err != nil {
+		t.Fatalf("marshal truss_index section: %v", err)
+	}
+	var ixSec map[string]json.RawMessage
+	if err := json.Unmarshal(ixJSON, &ixSec); err != nil {
+		t.Fatalf("truss_index section: %v", err)
+	}
+	for _, key := range []string{"epoch", "edges", "buckets", "served", "recomputed", "commits",
+		"memo_entries", "window_reads", "edges_scanned", "buckets_scanned"} {
+		if _, ok := ixSec[key]; !ok {
+			t.Errorf("truss_index section missing %q: %s", key, ixJSON)
+		}
+	}
 }
 
 func TestMalformedAndOversizedBodies(t *testing.T) {

@@ -21,7 +21,11 @@
 //	                     "link_quiesce_rounds", "link_exchange_rounds" (process-link
 //	                     round trips by kind; 0 without -workers)},
 //	  "dist":           (-workers only) {"procs", "mutation": dist.MutationStats},
-//	  "truss_index":    (-truss-index only) tripoll.TrussIndexStats
+//	  "truss_index":    (-truss-index only) tripoll.TrussIndexStats {"epoch", "edges",
+//	                     "buckets", "served", "recomputed", "commits", "memo_entries"
+//	                     (memoized answers, all still valid), "window_reads",
+//	                     "edges_scanned", "buckets_scanned" (the work of the window
+//	                     reads behind recomputed answers)}
 //	}
 package main
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tripoll/internal/serialize"
 )
@@ -29,21 +28,49 @@ type TriSpan struct {
 	Lo, Hi uint64
 }
 
-// TriSpanStore maps each live undirected edge (canonical First < Second)
-// to its merged timestamp, and each edge to its span-bucketed triangle
-// support. Supp entries exist only for edges with at least one bucket;
-// Edges is authoritative for membership.
+// spanBucket is one support bucket: N triangles with envelope TriSpan.
+type spanBucket struct {
+	TriSpan
+	N uint64
+}
+
+// TriSpanStore is the columnar triangle-span store. Every undirected edge
+// it has been told about (canonical First < Second) owns a slot, and the
+// slot's fields are parallel columns: the pair, the merged timestamp,
+// whether the edge is a member (inserted and not expired), and its support
+// buckets as one run ascending by (Lo, Hi).
+//
+// order lists the slots ascending by pair. Slots created since the last
+// read wait in pending, and the next read sorts just those and merges them
+// in; the read itself is then one pass over order, with no map range and
+// nothing else sorted. slot is the point lookup behind InsertEdge,
+// AddSupport, Timestamp and SupportIn.
+//
+// A slot with buckets but no membership (support delivered for an edge
+// InsertEdge never recorded, or that expired) answers SupportIn but is not
+// an edge: EdgesIn does not list it and snapshots do not encode it. A slot
+// with neither is a tombstone: reads pass over it, a later InsertEdge or
+// AddSupport on its pair revives it in place, and once tombstones outnumber
+// the other slots they are compacted away (StreamShard's discipline).
+//
+// Reads settle pending slots, so no method, reads included, is safe for
+// concurrent use.
 type TriSpanStore struct {
-	Edges map[serialize.Pair[uint64, uint64]]uint64
-	Supp  map[serialize.Pair[uint64, uint64]]map[TriSpan]uint64
+	pair   []serialize.Pair[uint64, uint64]
+	ts     []uint64
+	member []bool
+	runs   [][]spanBucket
+
+	order   []int32
+	pending []int32
+	slot    map[serialize.Pair[uint64, uint64]]int32
+
+	edges, buckets, dead int
 }
 
 // NewTriSpanStore returns an empty store.
 func NewTriSpanStore() *TriSpanStore {
-	return &TriSpanStore{
-		Edges: make(map[serialize.Pair[uint64, uint64]]uint64),
-		Supp:  make(map[serialize.Pair[uint64, uint64]]map[TriSpan]uint64),
-	}
+	return &TriSpanStore{slot: make(map[serialize.Pair[uint64, uint64]]int32)}
 }
 
 // CanonPair returns the canonical undirected key for {u, v}.
@@ -54,71 +81,158 @@ func CanonPair(u, v uint64) serialize.Pair[uint64, uint64] {
 	return serialize.Pair[uint64, uint64]{First: u, Second: v}
 }
 
+func comparePair(a, b serialize.Pair[uint64, uint64]) int {
+	if c := cmp.Compare(a.First, b.First); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Second, b.Second)
+}
+
+func compareSpan(b spanBucket, sp TriSpan) int {
+	if c := cmp.Compare(b.Lo, sp.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Hi, sp.Hi)
+}
+
+// firstLoAtLeast returns the index of the first bucket of run with Lo ≥ t.
+func firstLoAtLeast(run []spanBucket, t uint64) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if run[m].Lo < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+func (st *TriSpanStore) isDead(s int32) bool { return !st.member[s] && len(st.runs[s]) == 0 }
+
+// newSlot appends a slot for k. It is born a tombstone; the caller fills it.
+func (st *TriSpanStore) newSlot(k serialize.Pair[uint64, uint64]) int32 {
+	s := int32(len(st.pair))
+	st.pair = append(st.pair, k)
+	st.ts = append(st.ts, 0)
+	st.member = append(st.member, false)
+	st.runs = append(st.runs, nil)
+	st.pending = append(st.pending, s)
+	st.slot[k] = s
+	st.dead++
+	return s
+}
+
 // InsertEdge records edge {u, v} with timestamp ts. A re-insertion of a
 // live edge merges timestamps through merge (nil keeps the stored value,
 // mirroring StreamShard.Insert); insertion after expiry is a fresh edge.
 func (st *TriSpanStore) InsertEdge(u, v, ts uint64, merge func(a, b uint64) uint64) {
 	k := CanonPair(u, v)
-	if old, ok := st.Edges[k]; ok {
+	s, ok := st.slot[k]
+	switch {
+	case !ok:
+		s = st.newSlot(k)
+	case st.member[s]:
 		if merge != nil {
-			st.Edges[k] = merge(old, ts)
+			st.ts[s] = merge(st.ts[s], ts)
 		}
 		return
 	}
-	st.Edges[k] = ts
+	if st.isDead(s) {
+		st.dead--
+	}
+	st.member[s], st.ts[s] = true, ts
+	st.edges++
+}
+
+// Timestamp returns the stored timestamp of edge {u, v} and whether the
+// edge is live.
+func (st *TriSpanStore) Timestamp(u, v uint64) (uint64, bool) {
+	if s, ok := st.slot[CanonPair(u, v)]; ok && st.member[s] {
+		return st.ts[s], true
+	}
+	return 0, false
 }
 
 // AddSupport bumps the [lo, hi] bucket on the three edges of triangle
 // {p, q, r} by delta (negative deltas subtract; a bucket reaching zero is
-// removed).
+// removed, and one that is absent is not created).
 func (st *TriSpanStore) AddSupport(p, q, r, lo, hi uint64, delta int64) {
 	sp := TriSpan{Lo: lo, Hi: hi}
 	for _, k := range [3]serialize.Pair[uint64, uint64]{CanonPair(p, q), CanonPair(p, r), CanonPair(q, r)} {
-		b, ok := st.Supp[k]
+		s, ok := st.slot[k]
 		if !ok {
 			if delta <= 0 {
 				continue
 			}
-			b = make(map[TriSpan]uint64)
-			st.Supp[k] = b
+			s = st.newSlot(k)
 		}
-		n := int64(b[sp]) + delta
-		switch {
-		case n > 0:
-			b[sp] = uint64(n)
-		default:
-			delete(b, sp)
-			if len(b) == 0 {
-				delete(st.Supp, k)
-			}
-		}
+		st.bump(s, sp, delta)
 	}
+	st.maybeCompact()
+}
+
+func (st *TriSpanStore) bump(s int32, sp TriSpan, delta int64) {
+	run := st.runs[s]
+	i, found := slices.BinarySearchFunc(run, sp, compareSpan)
+	if !found {
+		if delta <= 0 {
+			return
+		}
+		if st.isDead(s) {
+			st.dead--
+		}
+		st.runs[s] = slices.Insert(run, i, spanBucket{TriSpan: sp, N: uint64(delta)})
+		st.buckets++
+		return
+	}
+	if n := int64(run[i].N) + delta; n > 0 {
+		run[i].N = uint64(n)
+		return
+	}
+	st.buckets--
+	if len(run) == 1 {
+		st.runs[s] = nil
+		if !st.member[s] {
+			st.dead++
+		}
+		return
+	}
+	st.runs[s] = slices.Delete(run, i, i+1)
 }
 
 // ExpireBefore drops every edge timestamped below the cutoff and every
 // support bucket whose envelope opens below it. A triangle survives the
 // watermark iff all three of its edges do, i.e. iff its minimum edge
 // timestamp Lo ≥ cutoff — so dropping buckets by Lo alone is exact and
-// needs no triangle identity. Returns the number of edges and buckets
-// dropped.
+// needs no triangle identity; on each run they are a prefix. Returns the
+// number of edges and buckets dropped.
 func (st *TriSpanStore) ExpireBefore(cutoff uint64) (edges, buckets int) {
-	for k, ts := range st.Edges {
-		if ts < cutoff {
-			delete(st.Edges, k)
+	for i := range st.pair {
+		s := int32(i)
+		if st.isDead(s) {
+			continue
+		}
+		if st.member[s] && st.ts[s] < cutoff {
+			st.member[s] = false
 			edges++
 		}
-	}
-	for k, b := range st.Supp {
-		for sp := range b {
-			if sp.Lo < cutoff {
-				delete(b, sp)
-				buckets++
+		if n := firstLoAtLeast(st.runs[s], cutoff); n > 0 {
+			buckets += n
+			if n == len(st.runs[s]) {
+				st.runs[s] = nil
+			} else {
+				st.runs[s] = slices.Delete(st.runs[s], 0, n)
 			}
 		}
-		if len(b) == 0 {
-			delete(st.Supp, k)
+		if st.isDead(s) {
+			st.dead++
 		}
 	}
+	st.edges -= edges
+	st.buckets -= buckets
+	st.maybeCompact()
 	return edges, buckets
 }
 
@@ -126,61 +240,159 @@ func (st *TriSpanStore) ExpireBefore(cutoff uint64) (edges, buckets int) {
 // rebuild's full traversal re-delivers every live-window triangle. Edge
 // state is maintained structurally and survives.
 func (st *TriSpanStore) ResetSupport() {
-	st.Supp = make(map[serialize.Pair[uint64, uint64]]map[TriSpan]uint64)
+	for i, run := range st.runs {
+		if len(run) == 0 {
+			continue
+		}
+		st.runs[i] = nil
+		if !st.member[i] {
+			st.dead++
+		}
+	}
+	st.buckets = 0
+	st.maybeCompact()
 }
 
 // NumEdges returns the number of live edges.
-func (st *TriSpanStore) NumEdges() int { return len(st.Edges) }
+func (st *TriSpanStore) NumEdges() int { return st.edges }
 
 // NumBuckets returns the total number of (edge, span) support buckets.
-func (st *TriSpanStore) NumBuckets() int {
-	n := 0
-	for _, b := range st.Supp {
-		n += len(b)
+func (st *TriSpanStore) NumBuckets() int { return st.buckets }
+
+// settle merges the slots created since the last read into order: it
+// sorts only those, then merges the two ascending lists from the back, in
+// place.
+func (st *TriSpanStore) settle() {
+	if len(st.pending) == 0 {
+		return
 	}
-	return n
+	byPair := func(a, b int32) int { return comparePair(st.pair[a], st.pair[b]) }
+	slices.SortFunc(st.pending, byPair)
+	n, m := len(st.order), len(st.pending)
+	st.order = slices.Grow(st.order, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && byPair(st.order[i], st.pending[j]) > 0 {
+			st.order[k] = st.order[i]
+			i--
+		} else {
+			st.order[k] = st.pending[j]
+			j--
+		}
+	}
+	st.pending = st.pending[:0]
+}
+
+// maybeCompact rewrites the columns without tombstones, in pair order,
+// once tombstones outnumber the other slots (amortized O(1) per slot
+// retired).
+func (st *TriSpanStore) maybeCompact() {
+	live := len(st.pair) - st.dead
+	if st.dead <= live {
+		return
+	}
+	st.settle()
+	pair := make([]serialize.Pair[uint64, uint64], 0, live)
+	ts := make([]uint64, 0, live)
+	member := make([]bool, 0, live)
+	runs := make([][]spanBucket, 0, live)
+	slot := make(map[serialize.Pair[uint64, uint64]]int32, live)
+	order := st.order[:0] // written behind the read position below
+	for _, s := range st.order {
+		if st.isDead(s) {
+			continue
+		}
+		id := int32(len(pair))
+		pair = append(pair, st.pair[s])
+		ts = append(ts, st.ts[s])
+		member = append(member, st.member[s])
+		runs = append(runs, st.runs[s])
+		slot[st.pair[s]] = id
+		order = append(order, id)
+	}
+	st.pair, st.ts, st.member, st.runs, st.slot, st.order = pair, ts, member, runs, slot, order
+	st.dead = 0
+}
+
+// windowSum sums the buckets of one run that fit [from, until] and, when
+// hasDelta, the width bound δ, and reports how many buckets it visited: a
+// binary search to the first Lo ≥ from, then each bucket up to the last
+// Lo ≤ until (Hi ≥ Lo, so no later one can fit).
+func windowSum(run []spanBucket, from, until uint64, hasDelta bool, delta uint64) (sum uint64, visited int) {
+	for _, b := range run[firstLoAtLeast(run, from):] {
+		if b.Lo > until {
+			break
+		}
+		visited++
+		if b.Hi > until || (hasDelta && b.Hi-b.Lo > delta) {
+			continue
+		}
+		sum += b.N
+	}
+	return sum, visited
 }
 
 // SupportIn sums the support of edge {u, v} restricted to triangles whose
 // envelope fits the closed window [from, until] and, when hasDelta, whose
 // width Hi−Lo is at most delta.
 func (st *TriSpanStore) SupportIn(u, v, from, until uint64, hasDelta bool, delta uint64) uint64 {
-	var sum uint64
-	for sp, n := range st.Supp[CanonPair(u, v)] {
-		if sp.Lo < from || sp.Hi > until {
-			continue
-		}
-		if hasDelta && sp.Hi-sp.Lo > delta {
-			continue
-		}
-		sum += n
+	s, ok := st.slot[CanonPair(u, v)]
+	if !ok {
+		return 0
 	}
+	sum, _ := windowSum(st.runs[s], from, until, hasDelta, delta)
 	return sum
 }
 
 // EdgesIn returns the live edges timestamped inside the closed window
 // [from, until], sorted ascending by (First, Second).
 func (st *TriSpanStore) EdgesIn(from, until uint64) []serialize.Pair[uint64, uint64] {
-	out := make([]serialize.Pair[uint64, uint64], 0, len(st.Edges))
-	for k, ts := range st.Edges {
-		if ts < from || ts > until {
-			continue
+	st.settle()
+	var out []serialize.Pair[uint64, uint64]
+	for _, s := range st.order {
+		if st.member[s] && st.ts[s] >= from && st.ts[s] <= until {
+			out = append(out, st.pair[s])
 		}
-		out = append(out, k)
 	}
-	slices.SortFunc(out, func(a, b serialize.Pair[uint64, uint64]) int {
-		if c := cmp.Compare(a.First, b.First); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Second, b.Second)
-	})
 	return out
 }
 
+// WindowRead is one pass of ReadWindow over the store.
+type WindowRead struct {
+	// Edges are the live edges timestamped inside the window, ascending by
+	// (First, Second); Support[i] is Edges[i]'s SupportIn for the window.
+	Edges   []serialize.Pair[uint64, uint64]
+	Support []uint64
+	// Slots is how many slots the pass visited: every live edge, every
+	// support-only slot and every tombstone not yet compacted.
+	Slots int
+	// Buckets is how many buckets it visited: those with Lo in the window
+	// on the window's edges.
+	Buckets int
+}
+
+// ReadWindow fills w with the closed window [from, until] — its edges and
+// their support sums, δ-filtered when hasDelta — in one pass over the
+// columns in pair order, reusing w's slices.
+func (st *TriSpanStore) ReadWindow(w *WindowRead, from, until uint64, hasDelta bool, delta uint64) {
+	st.settle()
+	w.Edges, w.Support = w.Edges[:0], w.Support[:0]
+	w.Slots, w.Buckets = len(st.order), 0
+	for _, s := range st.order {
+		if !st.member[s] || st.ts[s] < from || st.ts[s] > until {
+			continue
+		}
+		sum, visited := windowSum(st.runs[s], from, until, hasDelta, delta)
+		w.Edges = append(w.Edges, st.pair[s])
+		w.Support = append(w.Support, sum)
+		w.Buckets += visited
+	}
+}
+
 // Snapshot codec (TPTI1), in the TPDG2 shard mould: magic + version,
-// deterministic encode (edges sorted, buckets sorted per edge), decode
-// that validates every claimed count against the bytes actually remaining
-// before allocating, and typed errors — corrupt input must never panic.
+// deterministic encode (edges ascending, buckets ascending per edge),
+// decode that validates every claimed count against the bytes actually
+// remaining before allocating, and typed errors — corrupt input must never
+// panic.
 
 const triSpanMagic = "TPTI1"
 
@@ -192,44 +404,26 @@ func triSpanCorrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrTriSpanCorrupt, fmt.Sprintf(format, args...))
 }
 
-// EncodeSnapshot serializes the store deterministically: identical stores
-// yield identical bytes regardless of map iteration order.
+// EncodeSnapshot serializes the store's live edges and their buckets
+// deterministically: stores holding the same edges and buckets yield
+// identical bytes whatever their history.
 func (st *TriSpanStore) EncodeSnapshot() []byte {
+	st.settle()
 	var e serialize.Encoder
 	e.PutString(triSpanMagic)
-
-	edges := make([]serialize.Pair[uint64, uint64], 0, len(st.Edges))
-	for k := range st.Edges {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].First != edges[j].First {
-			return edges[i].First < edges[j].First
+	e.PutUvarint(uint64(st.edges))
+	for _, s := range st.order {
+		if !st.member[s] {
+			continue
 		}
-		return edges[i].Second < edges[j].Second
-	})
-	e.PutUvarint(uint64(len(edges)))
-	for _, k := range edges {
-		e.PutUvarint(k.First)
-		e.PutUvarint(k.Second)
-		e.PutUvarint(st.Edges[k])
-
-		b := st.Supp[k]
-		spans := make([]TriSpan, 0, len(b))
-		for sp := range b {
-			spans = append(spans, sp)
-		}
-		sort.Slice(spans, func(i, j int) bool {
-			if spans[i].Lo != spans[j].Lo {
-				return spans[i].Lo < spans[j].Lo
-			}
-			return spans[i].Hi < spans[j].Hi
-		})
-		e.PutUvarint(uint64(len(spans)))
-		for _, sp := range spans {
-			e.PutUvarint(sp.Lo)
-			e.PutUvarint(sp.Hi - sp.Lo) // width, so Hi ≥ Lo is free to validate
-			e.PutUvarint(b[sp])
+		e.PutUvarint(st.pair[s].First)
+		e.PutUvarint(st.pair[s].Second)
+		e.PutUvarint(st.ts[s])
+		e.PutUvarint(uint64(len(st.runs[s])))
+		for _, b := range st.runs[s] {
+			e.PutUvarint(b.Lo)
+			e.PutUvarint(b.Hi - b.Lo) // width, so Hi ≥ Lo is free to validate
+			e.PutUvarint(b.N)
 		}
 	}
 	return e.Bytes()
@@ -273,12 +467,14 @@ func DecodeTriSpanSnapshot(data []byte) (*TriSpanStore, error) {
 		if nb > uint64(d.Remaining()) {
 			return nil, triSpanCorrupt("edge %d bucket count %d exceeds remaining %d bytes", i, nb, d.Remaining())
 		}
-		st.Edges[k] = ts
+		s := st.newSlot(k)
+		st.member[s], st.ts[s] = true, ts
+		st.edges++
+		st.dead--
 		if nb == 0 {
 			continue
 		}
-		b := make(map[TriSpan]uint64, nb)
-		var prevSp TriSpan
+		run := make([]spanBucket, 0, nb)
 		for j := uint64(0); j < nb; j++ {
 			lo := d.Uvarint()
 			width := d.Uvarint()
@@ -294,16 +490,19 @@ func DecodeTriSpanSnapshot(data []byte) (*TriSpanStore, error) {
 				return nil, triSpanCorrupt("bucket %d of edge %d overflows", j, i)
 			}
 			sp := TriSpan{Lo: lo, Hi: hi}
-			if j > 0 && !(prevSp.Lo < lo || (prevSp.Lo == lo && prevSp.Hi < hi)) {
+			if j > 0 && compareSpan(run[j-1], sp) >= 0 {
 				return nil, triSpanCorrupt("bucket %d of edge %d out of order", j, i)
 			}
-			prevSp = sp
-			b[sp] = n
+			run = append(run, spanBucket{TriSpan: sp, N: n})
 		}
-		st.Supp[k] = b
+		st.runs[s] = run
+		st.buckets += len(run)
 	}
 	if d.Remaining() != 0 {
 		return nil, triSpanCorrupt("%d trailing bytes", d.Remaining())
 	}
+	// Records arrive strictly ascending (checked above), so the new slots
+	// are already in read order.
+	st.order, st.pending = st.pending, nil
 	return st, nil
 }

@@ -40,10 +40,11 @@ import (
 //
 // Queries go through ServeQuery, which also implements the engine's
 // index-serving seam structurally (IndexEpoch + ServeQuery). Results are
-// memoized; a commit invalidates only cached windows its dirty timestamp
-// range overlaps. One goroutine must drive the sink and query methods (the
-// engine's scheduler does); mu exists so Stats can read concurrently from
-// observability endpoints.
+// memoized; a commit drops the cached windows its dirty timestamp range
+// overlaps, so the memo holds only answers that are still valid. One
+// goroutine must drive the sink and query methods (the engine's scheduler
+// does); mu exists so Stats can read concurrently from observability
+// endpoints.
 type Index[VM any] struct {
 	mu    sync.Mutex
 	store *graph.TriSpanStore
@@ -60,21 +61,23 @@ type Index[VM any] struct {
 	pendingHi    uint64
 	pendingReset bool
 
-	// Committed dirty ranges, ascending epoch, bounded; floor is the
-	// newest epoch that has been trimmed off (cache entries at or below
-	// it can no longer be validated).
-	dirty []dirtyRange
+	// Epochs of the last maxDirty commits that had a dirty range,
+	// ascending; floor is the newest one trimmed off. A memo entry older
+	// than floor is dropped even when no dirty range overlapped it: the
+	// memo keeps an answer for at most maxDirty dirty commits.
+	dirty []uint64
 	floor uint64
 
 	cache map[string]cacheEntry
+	win   graph.WindowRead // ReadWindow's buffers, reused across reads
 
 	// Serving statistics, exposed through Stats.
 	served, recomputed, commits uint64
+	// Window-read work, exposed through Stats.
+	windowReads, edgesScanned, bucketsScanned uint64
 }
 
-type dirtyRange struct {
-	epoch, lo, hi uint64
-}
+const maxDirty = 64
 
 type cacheEntry struct {
 	epoch       uint64
@@ -112,6 +115,17 @@ type IndexStats struct {
 	Served     uint64 `json:"served"`
 	Recomputed uint64 `json:"recomputed"`
 	Commits    uint64 `json:"commits"`
+	// MemoEntries is how many memoized answers are held; every one is
+	// still valid for its window.
+	MemoEntries int `json:"memo_entries"`
+	// WindowReads counts window reads of the store (one per recomputed
+	// trussness or maxtruss answer, one per span of a spantruss);
+	// EdgesScanned the slots those reads visited, BucketsScanned the
+	// support buckets. All three are a pure function of the store and the
+	// windows asked.
+	WindowReads    uint64 `json:"window_reads"`
+	EdgesScanned   uint64 `json:"edges_scanned"`
+	BucketsScanned uint64 `json:"buckets_scanned"`
 }
 
 // Stats reports the index's current size and serving counters. Safe to
@@ -126,6 +140,11 @@ func (ix *Index[VM]) Stats() IndexStats {
 		Served:     ix.served,
 		Recomputed: ix.recomputed,
 		Commits:    ix.commits,
+
+		MemoEntries:    len(ix.cache),
+		WindowReads:    ix.windowReads,
+		EdgesScanned:   ix.edgesScanned,
+		BucketsScanned: ix.bucketsScanned,
 	}
 }
 
@@ -175,7 +194,7 @@ func (ix *Index[VM]) SinkBatch(batch []graph.Edge[uint64]) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, e := range batch {
-		if old, ok := ix.store.Edges[graph.CanonPair(e.U, e.V)]; ok {
+		if old, ok := ix.store.Timestamp(e.U, e.V); ok {
 			// A duplicate can revise the stored timestamp; both values
 			// bound the affected windows.
 			ix.touch(minU64(old, e.Meta), maxU64(old, e.Meta))
@@ -255,38 +274,18 @@ func (ix *Index[VM]) SinkCommit(w *ygm.World) {
 		ix.dirty = ix.dirty[:0]
 		ix.floor = ix.epoch
 	} else if ix.pendingDirty {
-		ix.dirty = append(ix.dirty, dirtyRange{epoch: ix.epoch, lo: ix.pendingLo, hi: ix.pendingHi})
-		const maxDirty = 64
+		ix.dirty = append(ix.dirty, ix.epoch)
 		for len(ix.dirty) > maxDirty {
-			ix.floor = ix.dirty[0].epoch
+			ix.floor = ix.dirty[0]
 			ix.dirty = ix.dirty[1:]
+		}
+		for key, ent := range ix.cache {
+			if ent.epoch < ix.floor || (ix.pendingLo <= ent.until && ent.from <= ix.pendingHi) {
+				delete(ix.cache, key)
+			}
 		}
 	}
 	ix.pendingDirty, ix.pendingReset = false, false
-}
-
-// cacheGet returns a memoized answer still valid for its window: the
-// entry survives every commit since it was stored whose dirty timestamp
-// range misses the window.
-func (ix *Index[VM]) cacheGet(key string) (any, bool) {
-	ent, ok := ix.cache[key]
-	if !ok {
-		return nil, false
-	}
-	if ent.epoch < ix.floor {
-		delete(ix.cache, key)
-		return nil, false
-	}
-	for _, d := range ix.dirty {
-		if d.epoch <= ent.epoch {
-			continue
-		}
-		if d.lo <= ent.until && ent.from <= d.hi {
-			delete(ix.cache, key)
-			return nil, false
-		}
-	}
-	return ent.val, true
 }
 
 func (ix *Index[VM]) cachePut(key string, from, until uint64, val any) {
@@ -294,15 +293,18 @@ func (ix *Index[VM]) cachePut(key string, from, until uint64, val any) {
 }
 
 // decompose peels one window from the store: edges timestamped inside it
-// (EdgesIn returns them in the kernel's order), seeded with the window's
-// (δ-constrained) bucket sums.
+// (ReadWindow returns them in the kernel's order), seeded with the
+// window's (δ-constrained) bucket sums.
 func (ix *Index[VM]) decompose(wn Window, hasDelta bool, delta uint64) analysis.Trussness {
-	pairs := ix.store.EdgesIn(wn.From, wn.Until)
-	edges := make([]analysis.Edge, len(pairs))
-	sup := make([]int32, len(pairs))
-	for i, p := range pairs {
+	ix.store.ReadWindow(&ix.win, wn.From, wn.Until, hasDelta, delta)
+	ix.windowReads++
+	ix.edgesScanned += uint64(ix.win.Slots)
+	ix.bucketsScanned += uint64(ix.win.Buckets)
+	edges := make([]analysis.Edge, len(ix.win.Edges))
+	sup := make([]int32, len(ix.win.Edges))
+	for i, p := range ix.win.Edges {
 		edges[i] = analysis.Edge{U: p.First, V: p.Second}
-		sup[i] = analysis.SupportOf(ix.store.SupportIn(p.First, p.Second, wn.From, wn.Until, hasDelta, delta))
+		sup[i] = analysis.SupportOf(ix.win.Support[i])
 	}
 	return analysis.Peel(edges, sup)
 }
@@ -335,9 +337,9 @@ func (ix *Index[VM]) ServeQuery(name string, args json.RawMessage, from, until, 
 	switch name {
 	case "trussness", "maxtruss":
 		key := fmt.Sprintf("%s|%d|%d|%v|%d", name, env.From, env.Until, hasDelta, d)
-		if v, ok := ix.cacheGet(key); ok {
+		if ent, ok := ix.cache[key]; ok {
 			ix.served++
-			return v, true, nil
+			return ent.val, true, nil
 		}
 		tr := ix.decompose(env, hasDelta, d)
 		var out any
@@ -367,9 +369,9 @@ func (ix *Index[VM]) ServeQuery(name string, args json.RawMessage, from, until, 
 			fmt.Fprintf(&kb, "|%d,%d", sp.From, sp.Until)
 		}
 		key := kb.String()
-		if v, ok := ix.cacheGet(key); ok {
+		if ent, ok := ix.cache[key]; ok {
 			ix.served++
-			return v, true, nil
+			return ent.val, true, nil
 		}
 		out := SpanResult{K: k, Spans: make([]SpanTruss, len(spans))}
 		for i, sp := range spans {

@@ -232,3 +232,119 @@ func TestIndexMemoInvalidation(t *testing.T) {
 		t.Fatal("non-truss analyses must not be index-handled")
 	}
 }
+
+// memoWindow is one distinct question TestMemoDropsStaleWindows asks.
+type memoWindow struct {
+	name        string
+	from, until uint64
+}
+
+func (m memoWindow) overlaps(lo, hi uint64) bool { return lo <= m.until && m.from <= hi }
+
+// TestMemoDropsStaleWindows pins that the memo holds only answers that are
+// still valid. Distinct windows are asked twice; then an ingest whose dirty
+// range is one timestamp, an expiry, and 65 commits outside every window —
+// the memo keeps an answer for at most 64 dirty commits — each drop exactly
+// the entries they invalidate, at the commit that invalidates them. served
+// and recomputed are what the lazy rule (validate an entry when its key is
+// asked again) gave on the same script.
+func TestMemoDropsStaleWindows(t *testing.T) {
+	w := ygm.MustWorld(2, ygm.Options{})
+	defer w.Close()
+	g := buildGraph(w, genEdges(31, 600, 40, 1000), graph.OrderDegree)
+	ix := NewIndex[serialize.Unit](IndexOptions{MergeTimestamp: minMerge})
+	s, err := core.OpenStreamSinks(g, core.StreamOptions[uint64]{MergeEdgeMeta: minMerge},
+		core.TemporalPlan(), []core.StreamSink[serialize.Unit, uint64]{ix})
+	if err != nil {
+		t.Fatalf("OpenStreamSinks: %v", err)
+	}
+
+	classes := []string{"trussness", "maxtruss", "spantruss"}
+	var wins []memoWindow
+	for i, from := range []uint64{0, 100, 250, 300, 400, 500, 620, 700, 960} {
+		for j, width := range []uint64{40, 200, 600} {
+			wins = append(wins, memoWindow{classes[(i+j)%3], from, from + width})
+		}
+	}
+	askAll := func() {
+		t.Helper()
+		for _, m := range wins {
+			if _, handled, err := ix.ServeQuery(m.name, nil, ptr(m.from), ptr(m.until), nil); !handled || err != nil {
+				t.Fatalf("ServeQuery %+v: handled=%v err=%v", m, handled, err)
+			}
+		}
+	}
+	// fresh inserts one edge between two new vertices at ts: a commit
+	// whose dirty range is exactly [ts, ts].
+	vtx := uint64(1 << 20)
+	fresh := func(ts uint64) {
+		t.Helper()
+		if _, err := s.Ingest([]graph.Edge[uint64]{{U: vtx, V: vtx + 1, Meta: ts}}); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		vtx += 2
+	}
+	valid := func(dirty ...[2]uint64) int {
+		n := 0
+	window:
+		for _, m := range wins {
+			for _, d := range dirty {
+				if m.overlaps(d[0], d[1]) {
+					continue window
+				}
+			}
+			n++
+		}
+		return n
+	}
+	check := func(stage string, memo int, served, recomputed uint64) {
+		t.Helper()
+		st := ix.Stats()
+		if st.MemoEntries != memo || st.Served != served || st.Recomputed != recomputed {
+			t.Fatalf("%s: memo_entries=%d served=%d recomputed=%d, want %d/%d/%d",
+				stage, st.MemoEntries, st.Served, st.Recomputed, memo, served, recomputed)
+		}
+	}
+	n := uint64(len(wins))
+
+	askAll()
+	askAll()
+	check("asked twice", len(wins), 2*n, n)
+
+	fresh(950)
+	check("ingest at 950", valid([2]uint64{950, 950}), 2*n, n)
+	if _, err := s.Advance(300); err != nil {
+		t.Fatalf("advance: %v", err)
+	}
+	left := valid([2]uint64{950, 950}, [2]uint64{0, 299})
+	check("expiry below 300", left, 2*n, n)
+	if left == 0 || left == len(wins) {
+		t.Fatalf("the script must leave some windows valid and invalidate others: %d of %d", left, len(wins))
+	}
+
+	askAll()
+	recomputed := 2*n - uint64(left)
+	check("asked again", len(wins), 3*n, recomputed)
+
+	// An answer ages out at the 65th dirty commit after the one it was
+	// computed in: those kept through the ingest and the expiry were
+	// computed two dirty commits before the rest.
+	for k := 1; k <= 65; k++ {
+		fresh(5000 + uint64(k))
+		want := len(wins)
+		if k >= 63 {
+			want = len(wins) - left
+		}
+		if k >= 65 {
+			want = 0
+		}
+		check(fmt.Sprintf("%d commits outside every window", k), want, 3*n, recomputed)
+	}
+
+	askAll()
+	check("asked after aging out", len(wins), 4*n, recomputed+n)
+	// The values the lazy rule gave on this script.
+	if st := ix.Stats(); st.Served != 108 || st.Recomputed != 67 {
+		t.Fatalf("served=%d recomputed=%d, the lazy rule gave 108/67", st.Served, st.Recomputed)
+	}
+}
