@@ -338,7 +338,7 @@ func TestMetricsSchema(t *testing.T) {
 	if err := json.Unmarshal(raw["engine"], &eng); err != nil {
 		t.Fatalf("engine section: %v", err)
 	}
-	for _, key := range []string{"submitted", "completed", "failed", "shed", "cache_hits", "index_served", "deduped", "coalesced", "traversals", "mutations", "traversal_messages", "traversal_bytes", "cache_entries", "cache_bytes", "cache_evictions"} {
+	for _, key := range []string{"submitted", "completed", "failed", "shed", "cache_hits", "index_served", "deduped", "coalesced", "traversals", "mutations", "traversal_messages", "traversal_bytes", "cache_entries", "cache_bytes", "cache_evictions", "materializations", "materialize_entries"} {
 		if _, ok := eng[key]; !ok {
 			t.Errorf("engine section missing %q: %v", key, eng)
 		}

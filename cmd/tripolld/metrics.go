@@ -5,7 +5,9 @@
 //	{
 //	  "engine":         engine.Stats (submitted/completed/shed/cache_hits/...; the
 //	                     result cache's "cache_entries", "cache_bytes" (≤ -cache-mb)
-//	                     and "cache_evictions"),
+//	                     and "cache_evictions"; "materializations", the stream
+//	                     snapshots queries triggered, and "materialize_entries",
+//	                     the half-edges those snapshots oriented),
 //	  "queue_depth":    jobs awaiting the scheduler's next admission batch,
 //	  "cache_hit_rate": cache_hits / completed,
 //	  "coalesce_ratio": coalesced / completed,

@@ -1,7 +1,6 @@
 package tripoll
 
 import (
-	"tripoll/internal/algos"
 	"tripoll/internal/core"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
@@ -76,33 +75,6 @@ func BuildLabelIndex[VM comparable, EM any](g *Graph[VM, EM], opts SurveyOptions
 	return core.BuildLabelIndex(g, opts, labelCodec)
 }
 
-// --- Distributed graph algorithms on the same substrate ------------------
-
-// AdjGraph is a distributed full-adjacency graph for traversal algorithms
-// (the DODGr keeps only <+-oriented out-edges).
-type AdjGraph = algos.AdjGraph
-
-// AdjBuilder ingests undirected edges into an AdjGraph.
-type AdjBuilder = algos.AdjBuilder
-
-// NewAdjBuilder creates a traversal-graph builder (outside regions).
-var NewAdjBuilder = algos.NewAdjBuilder
-
-// BFS, ConnectedComponents and PageRank are distributed algorithms over
-// an AdjGraph; construct outside parallel regions, Run anywhere.
-type (
-	BFS                 = algos.BFS
-	ConnectedComponents = algos.ConnectedComponents
-	PageRank            = algos.PageRank
-)
-
-// Algorithm constructors.
-var (
-	NewBFS                 = algos.NewBFS
-	NewConnectedComponents = algos.NewConnectedComponents
-	NewPageRank            = algos.NewPageRank
-)
-
 // --- Temporal windows ([40]-style δ-motifs) -------------------------------
 
 // TemporalWindowCount counts triangles whose edge timestamps span at most
@@ -134,21 +106,4 @@ func SaveGraph[VM, EM any](g *Graph[VM, EM], dir string) error { return g.Save(d
 // LoadGraph restores a snapshot written by SaveGraph.
 func LoadGraph[VM, EM any](w *World, dir string, vm Codec[VM], em Codec[EM]) (*Graph[VM, EM], error) {
 	return graph.Load(w, dir, vm, em)
-}
-
-// BuildAdj is a convenience constructor distributing the given undirected
-// edges across ranks into an AdjGraph.
-func BuildAdj(w *World, edges [][2]uint64) *AdjGraph {
-	b := NewAdjBuilder(w)
-	var g *AdjGraph
-	w.Parallel(func(r *Rank) {
-		for i := r.ID(); i < len(edges); i += r.Size() {
-			b.AddEdge(r, edges[i][0], edges[i][1])
-		}
-		gg := b.Build(r)
-		if r.ID() == 0 {
-			g = gg
-		}
-	})
-	return g
 }

@@ -1,7 +1,6 @@
 package tripoll_test
 
 import (
-	"math"
 	"testing"
 
 	"tripoll"
@@ -70,30 +69,6 @@ func TestPublicLabelIndex(t *testing.T) {
 	}
 	if ix.Query(0, 1, "red") != 1 || ix.Query(0, 2, "blue") != 1 || ix.Query(1, 2, "red") != 1 {
 		t.Errorf("label index: %v", ix)
-	}
-}
-
-func TestPublicAlgos(t *testing.T) {
-	w := tripoll.NewWorld(4)
-	defer w.Close()
-	edges := datagen.WattsStrogatz(500, 3, 0.05, 2)
-	g := tripoll.BuildAdj(w, edges)
-
-	depths := tripoll.NewBFS(g).Run(edges[0][0])
-	if len(depths) < 400 {
-		t.Errorf("BFS reached only %d vertices", len(depths))
-	}
-	comp := tripoll.NewConnectedComponents(g).Run()
-	if len(comp) == 0 {
-		t.Fatal("no components")
-	}
-	pr := tripoll.NewPageRank(g).Run(20, 0.85)
-	var sum float64
-	for _, r := range pr {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("PageRank sums to %v", sum)
 	}
 }
 

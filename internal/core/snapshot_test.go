@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,14 +18,18 @@ import (
 // The snapshot ≡ builder property: Stream.Materialize orients the shards'
 // live entries in place (graph.Orienter.Snapshot), and the graph it returns
 // must be — to the byte of its TPDG2 snapshot — the graph a fresh Builder
-// builds when fed the shards' vertex metadata and live edges. The Builder
-// call below is that reference: it is what Materialize itself did before the
-// snapshot stopped shuffling edges, kept here and nowhere in production.
+// builds, with the snapshot's ordering, when fed the shards' vertex metadata
+// and live edges. The Builder call below is that reference: it is what
+// Materialize itself did before the snapshot stopped shuffling edges, kept
+// here and nowhere in production. A snapshot re-orients only what changed
+// and shares every other list with the one before, so the property also
+// re-saves every earlier snapshot after the later ones: a published graph
+// never changes.
 
-func builderSnapshot[VM, EM any](s *Stream[VM, EM]) *graph.DODGr[VM, EM] {
+func builderSnapshot[VM, EM any](s *Stream[VM, EM], ord graph.Ordering) *graph.DODGr[VM, EM] {
 	b := graph.NewBuilder(s.w, s.vm, s.em, graph.BuilderOptions[EM]{
 		Partitioner:   s.g.Partitioner(),
-		Ordering:      s.g.Ordering(),
+		Ordering:      ord,
 		MergeEdgeMeta: s.opts.MergeEdgeMeta,
 	})
 	var g *graph.DODGr[VM, EM]
@@ -80,10 +85,12 @@ func counters(r Result) [16]uint64 {
 	}
 }
 
-func checkSnapshot(t *testing.T, label string, s *Stream[uint64, uint64], mode Mode) {
+// checkSnapshot materializes s, checks the snapshot against the builder's
+// graph, and returns it with its saved files.
+func checkSnapshot(t *testing.T, label string, s *Stream[uint64, uint64], mode Mode) (*graph.DODGr[uint64, uint64], map[string][]byte) {
 	t.Helper()
 	snap := s.Materialize()
-	ref := builderSnapshot(s)
+	ref := builderSnapshot(s, snap.Ordering())
 	got, want := saveBytes(t, snap), saveBytes(t, ref)
 	if len(got) != len(want) {
 		t.Fatalf("%s: snapshot wrote %d files, builder %d", label, len(got), len(want))
@@ -120,11 +127,12 @@ func checkSnapshot(t *testing.T, label string, s *Stream[uint64, uint64], mode M
 	if a != b || counters(ra) != counters(rb) {
 		t.Errorf("%s: surveys diverge:\n snapshot %d %v\n builder  %d %v", label, a, counters(ra), b, counters(rb))
 	}
+	return snap, got
 }
 
 func TestSnapshotEqualsBuilderProperty(t *testing.T) {
-	const nv, horizon = 28, 32
-	var compactions, isolated, resurrected int
+	const nv, horizon, steps = 28, 32, 40
+	var shardCompactions, snapshotCompactions, isolated, resurrected int
 	for _, ranks := range []int{1, 3, 4} {
 		for _, ord := range []graph.Ordering{graph.OrderDegree, graph.OrderDegeneracy} {
 			label := fmt.Sprintf("ranks%d/%v", ranks, ord)
@@ -156,20 +164,31 @@ func TestSnapshotEqualsBuilderProperty(t *testing.T) {
 				t.Fatalf("%s: OpenStream: %v", label, err)
 			}
 			afterOpen := w.NumHandlers()
-			checkSnapshot(t, label+"/seed", s, mode)
+			type published struct {
+				label string
+				g     *graph.DODGr[uint64, uint64]
+				files map[string][]byte
+			}
+			var history []published
+			check := func(label string) {
+				g, files := checkSnapshot(t, label, s, mode)
+				history = append(history, published{label, g, files})
+			}
+			check(label + "/seed")
 
 			var expired []graph.Edge[uint64]
 			cutoff := uint64(0)
-			for step := 0; step < 10; step++ {
+			for step := 0; step < steps; step++ {
 				// Repeated edges (in the batch and against the store),
-				// out-of-order timestamps, a late arrival below the cutoff,
+				// out-of-order timestamps, late arrivals below the cutoff,
 				// and the resurrection of an edge an earlier expiry retired.
 				var batch []graph.Edge[uint64]
+				lo := cutoff - min(cutoff, 4)
 				for i := 0; i < 14; i++ {
-					e := graph.Edge[uint64]{U: rng.Uint64() % (nv + 6), V: rng.Uint64() % (nv + 6), Meta: rng.Uint64() % horizon}
+					e := graph.Edge[uint64]{U: rng.Uint64() % (nv + 6), V: rng.Uint64() % (nv + 6), Meta: lo + rng.Uint64()%horizon}
 					batch = append(batch, e)
 					if i%5 == 0 {
-						batch = append(batch, graph.Edge[uint64]{U: e.V, V: e.U, Meta: rng.Uint64() % horizon})
+						batch = append(batch, graph.Edge[uint64]{U: e.V, V: e.U, Meta: lo + rng.Uint64()%horizon})
 					}
 				}
 				if len(expired) > 0 {
@@ -181,7 +200,7 @@ func TestSnapshotEqualsBuilderProperty(t *testing.T) {
 				if _, err := s.Ingest(batch); err != nil {
 					t.Fatalf("%s: ingest %d: %v", label, step, err)
 				}
-				checkSnapshot(t, fmt.Sprintf("%s/ingest%d", label, step), s, mode)
+				check(fmt.Sprintf("%s/ingest%d", label, step))
 
 				if step%2 == 1 {
 					// The cutoff is a timestamp live edges carry, so the expiry
@@ -189,8 +208,8 @@ func TestSnapshotEqualsBuilderProperty(t *testing.T) {
 					// retires almost everything (tombstones then outnumber live
 					// entries and MaybeCompact sweeps them).
 					cutoff += 3
-					if step == 9 {
-						cutoff = horizon - 1
+					if step == steps-1 {
+						cutoff += horizon - 4
 					}
 					for _, sh := range s.shards {
 						for vi := range sh.Verts {
@@ -219,54 +238,240 @@ func TestSnapshotEqualsBuilderProperty(t *testing.T) {
 						}
 					}
 					if after < dead {
-						compactions++
+						shardCompactions++
 					}
-					checkSnapshot(t, fmt.Sprintf("%s/advance%d", label, cutoff), s, mode)
+					check(fmt.Sprintf("%s/advance%d", label, cutoff))
 				}
 			}
+			// Every snapshot saves as it did when it was published, however
+			// many later snapshots reused its lists.
+			for _, p := range history {
+				for name, b := range saveBytes(t, p.g) {
+					if !bytes.Equal(b, p.files[name]) {
+						t.Errorf("%s: %s changed after later snapshots", p.label, name)
+					}
+				}
+			}
+			snapshotCompactions += s.orient.Compactions()
 			if n := w.NumHandlers(); n != afterOpen || afterOpen <= base {
 				t.Errorf("%s: handler table %d after the history, %d after OpenStream (%d before)", label, n, afterOpen, base)
 			}
 			w.Close()
 		}
 	}
-	if compactions == 0 || isolated == 0 || resurrected == 0 {
-		t.Errorf("histories never exercised: compactions=%d isolated=%d resurrected=%d", compactions, isolated, resurrected)
+	if shardCompactions == 0 || snapshotCompactions == 0 || isolated == 0 || resurrected == 0 {
+		t.Errorf("histories never exercised: shard compactions=%d snapshot compactions=%d isolated=%d resurrected=%d",
+			shardCompactions, snapshotCompactions, isolated, resurrected)
+	}
+}
+
+// liveSet is a stream's live edge set as its shards hold it: vertex →
+// live neighbour → edge timestamp, for every vertex the shards ever met.
+type liveSet map[uint64]map[uint64]uint64
+
+func liveOf[VM any](s *Stream[VM, uint64]) liveSet {
+	ls := liveSet{}
+	for _, sh := range s.shards {
+		for vi := range sh.Verts {
+			v := &sh.Verts[vi]
+			nb := map[uint64]uint64{}
+			for j := range v.Adj {
+				if c := &v.Adj[j]; !c.Dead {
+					nb[c.Target] = c.EMeta
+				}
+			}
+			ls[v.ID] = nb
+		}
+	}
+	return ls
+}
+
+// owedWork is the number of half-edges a degree-class snapshot must decide
+// between two live sets, derived by brute force: every live half-edge of a
+// vertex whose degree class moved (a newcomer's moves from 0), and for any
+// other vertex each live half-edge that is new, carries a new timestamp, or
+// leads to a vertex whose class moved.
+func owedWork(before, after liveSet) uint64 {
+	moved := func(v uint64) bool { return bits.Len(uint(len(before[v]))) != bits.Len(uint(len(after[v]))) }
+	var n uint64
+	for v, nb := range after {
+		if moved(v) {
+			n += uint64(len(nb))
+			continue
+		}
+		for u, ts := range nb {
+			if old, ok := before[v][u]; !ok || old != ts || moved(u) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSnapshotWork pins, at zero tolerance, the half-edges each snapshot of
+// a seeded 4-rank script orients (StreamStats.SnapshotEntries): none before
+// the first mutation (the snapshot is the seed graph), every live half-edge
+// on the first stage after it, none on a second with nothing changed, and
+// after a 64-edge ingest and after an advance retiring about 2 % of the
+// edges exactly what owedWork derives from the shards' live sets before
+// and after.
+func TestSnapshotWork(t *testing.T) {
+	const (
+		nv, seedEdges, horizon = 500, 2000, 1000
+		wantFresh              = 3996
+		wantIngest             = 386
+		wantAdvance            = 250
+	)
+	w := ygm.MustWorld(4, ygm.Options{})
+	defer w.Close()
+	rng := rand.New(rand.NewSource(26))
+	edges := make([]graph.TemporalEdge, seedEdges)
+	for i := range edges {
+		edges[i] = graph.TemporalEdge{U: rng.Uint64() % nv, V: rng.Uint64() % nv, Time: rng.Uint64() % horizon}
+	}
+	sb := graph.NewBuilder(w, serialize.UnitCodec(), serialize.Uint64Codec(), graph.BuilderOptions[uint64]{MergeEdgeMeta: minMerge})
+	var seed *graph.DODGr[serialize.Unit, uint64]
+	w.Parallel(func(r *ygm.Rank) {
+		for i := r.ID(); i < len(edges); i += r.Size() {
+			sb.AddEdge(r, edges[i].U, edges[i].V, edges[i].Time)
+		}
+		if g := sb.Build(r); r.ID() == 0 {
+			seed = g
+		}
+	})
+	s, err := OpenStream(seed, StreamOptions[uint64]{MergeEdgeMeta: minMerge}, TemporalPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *graph.DODGr[serialize.Unit, uint64]
+	snapshot := func() uint64 {
+		before := s.Stats().SnapshotEntries
+		g = s.Materialize()
+		return s.Stats().SnapshotEntries - before
+	}
+	// Edges later than anything stored, some to vertices the stream has
+	// not met: no merge revises a timestamp, so no ingest rebuilds.
+	next := uint64(horizon)
+	batch := func(n int) []graph.Edge[uint64] {
+		b := make([]graph.Edge[uint64], n)
+		for i := range b {
+			b[i] = graph.Edge[uint64]{U: rng.Uint64() % (nv + 40), V: rng.Uint64() % (nv + 40), Meta: next}
+			next++
+		}
+		return b
+	}
+
+	if got := snapshot(); got != 0 || g.Ordering() != graph.OrderDegree || g.NumWedges() != seed.NumWedges() {
+		t.Errorf("snapshot before any mutation oriented %d half-edges into a %v graph of %d wedges, want the %v seed's %d and none",
+			got, g.Ordering(), g.NumWedges(), seed.Ordering(), seed.NumWedges())
+	}
+	if _, err := s.Ingest(batch(16)); err != nil {
+		t.Fatal(err)
+	}
+	var half uint64
+	for _, nb := range liveOf(s) {
+		half += uint64(len(nb))
+	}
+	if got := snapshot(); got != half || got != wantFresh || g.Ordering() != graph.OrderDegreeClass {
+		t.Errorf("first stage oriented %d half-edges (%v), want every live one: %d (pinned %d)", got, g.Ordering(), half, wantFresh)
+	}
+	if got := snapshot(); got != 0 {
+		t.Errorf("snapshot with nothing changed oriented %d half-edges, want 0", got)
+	}
+	for _, step := range []struct {
+		name   string
+		mutate func() (Result, error)
+		want   uint64
+	}{
+		{"ingest", func() (Result, error) { return s.Ingest(batch(64)) }, wantIngest},
+		{"advance", func() (Result, error) { return s.Advance(horizon / 40) }, wantAdvance},
+	} {
+		before := liveOf(s)
+		res, err := step.mutate()
+		if err != nil || res.Rebuilt {
+			t.Fatalf("%s: err %v, rebuilt %v", step.name, err, res.Rebuilt)
+		}
+		owed := owedWork(before, liveOf(s))
+		if got := snapshot(); got != owed || got != step.want {
+			t.Errorf("snapshot after the %s oriented %d half-edges, brute force says %d (pinned %d)", step.name, got, owed, step.want)
+		}
+	}
+	if st := s.Stats(); st.Snapshots != 5 {
+		t.Errorf("%d snapshots, want 5", st.Snapshots)
 	}
 }
 
 // BenchmarkMaterialize times one snapshot of a stream the size of the
 // benchmark's stream-dist workload (250k comment events over 31k authors,
-// 4 ranks), reporting the transport messages it moves.
+// 4 ranks; a fifth of that under -short), reporting the transport messages
+// and the half-edges it orients. Both cases start after the first stage
+// (one ingest, then a snapshot that orients everything). "unchanged"
+// snapshots a stream that holds no change since the previous snapshot;
+// "after-ingest" first ingests, off the clock, the next 256 events of the
+// stream's own continuation.
 func BenchmarkMaterialize(b *testing.B) {
+	const batch, batches = 256, 256
 	p := gen.DefaultRedditParams()
 	p.Events, p.Users = 250_000, 31_250
-	edges := gen.RedditLike(p)
+	if testing.Short() {
+		p.Events, p.Users = 50_000, 6_250
+	}
+	base := p.Events
+	p.Events += batch * batches
+	events := gen.RedditLike(p)
 	for _, tr := range []ygm.TransportKind{ygm.TransportChannel, ygm.TransportTCP} {
-		b.Run(tr.String(), func(b *testing.B) {
-			w := ygm.MustWorld(4, ygm.Options{Transport: tr})
-			defer w.Close()
-			sb := graph.NewBuilder(w, serialize.UnitCodec(), serialize.Uint64Codec(), graph.BuilderOptions[uint64]{MergeEdgeMeta: minMerge})
-			var seed *graph.DODGr[serialize.Unit, uint64]
-			w.Parallel(func(r *ygm.Rank) {
-				for i := r.ID(); i < len(edges); i += r.Size() {
-					sb.AddEdge(r, edges[i].U, edges[i].V, edges[i].Time)
-				}
-				if g := sb.Build(r); r.ID() == 0 {
-					seed = g
-				}
-			})
-			s, err := OpenStream(seed, StreamOptions[uint64]{MergeEdgeMeta: minMerge}, TemporalPlan())
-			if err != nil {
-				b.Fatal(err)
+		for _, ingest := range []bool{false, true} {
+			name := tr.String() + "/unchanged"
+			if ingest {
+				name = tr.String() + "/after-ingest"
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			sent := w.Stats().MessagesSent
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				w := ygm.MustWorld(4, ygm.Options{Transport: tr})
+				defer w.Close()
+				sb := graph.NewBuilder(w, serialize.UnitCodec(), serialize.Uint64Codec(), graph.BuilderOptions[uint64]{MergeEdgeMeta: minMerge})
+				var seed *graph.DODGr[serialize.Unit, uint64]
+				w.Parallel(func(r *ygm.Rank) {
+					for i := r.ID(); i < base; i += r.Size() {
+						sb.AddEdge(r, events[i].U, events[i].V, events[i].Time)
+					}
+					if g := sb.Build(r); r.ID() == 0 {
+						seed = g
+					}
+				})
+				s, err := OpenStream(seed, StreamOptions[uint64]{MergeEdgeMeta: minMerge}, TemporalPlan())
+				if err != nil {
+					b.Fatal(err)
+				}
+				next := make([]graph.Edge[uint64], batch)
+				ingestBatch := func(i int) {
+					for k := range next {
+						e := events[base+(i%batches)*batch+k]
+						next[k] = graph.Edge[uint64]{U: e.U, V: e.V, Meta: e.Time}
+					}
+					if _, err := s.Ingest(next); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// The first stage, after the first mutation, orients everything.
+				ingestBatch(0)
 				s.Materialize()
-			}
-			b.ReportMetric(float64(w.Stats().MessagesSent-sent)/float64(b.N), "msgs/op")
-		})
+				var msgs int64
+				oriented := s.Stats().SnapshotEntries
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if ingest {
+						b.StopTimer()
+						ingestBatch(i + 1)
+						b.StartTimer()
+					}
+					sent := w.Stats().MessagesSent
+					s.Materialize()
+					msgs += w.Stats().MessagesSent - sent
+				}
+				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+				b.ReportMetric(float64(s.Stats().SnapshotEntries-oriented)/float64(b.N), "entries/op")
+			})
+		}
 	}
 }

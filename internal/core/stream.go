@@ -90,6 +90,8 @@ type StreamStats struct {
 	SelfLoopsDropped uint64
 	Rebuilds         uint64 // epoch-rebuild fallbacks
 	Triangles        uint64 // net plan-matching triangles in the live window
+	Snapshots        uint64 // Materialize calls
+	SnapshotEntries  uint64 // half-edges those snapshots oriented, world-wide
 }
 
 // ErrStreamNoTimestamps is returned by Advance when the stream's plan has
@@ -1231,15 +1233,37 @@ func (s *Stream[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 }
 
 // Materialize builds an immutable DODGr snapshot of the live edge set,
-// with the seed graph's partitioning and ordering strategy — the rebuild
-// vehicle, also what engine queries and checkpoints read. The shards
-// already hold every live edge at both owners, sorted and deduplicated, so
-// nothing is shuffled: each rank orients its own entries after one bulk
-// boundary exchange (graph.Orienter), and the result is the graph a Builder
-// fed the same vertices and live edges would build. Collective; call
-// outside parallel regions.
+// with the seed graph's partitioning — the rebuild vehicle, also what engine
+// queries and checkpoints read. The shards already hold every live edge at
+// both owners, sorted and deduplicated, so nothing is shuffled: each rank
+// orients its own entries after one boundary exchange (graph.Orienter), and
+// the result is the graph a Builder fed the same vertices and live edges
+// would build with the snapshot's ordering. Until the first Ingest or
+// Advance the live edge set is the seed graph's, and so is the snapshot: no
+// stage runs. After it, under the degree-class order, a snapshot decides
+// only the half-edges the mutations since the previous one changed, and
+// reuses every other adjacency list. Collective; call outside parallel
+// regions.
 func (s *Stream[VM, EM]) Materialize() *graph.DODGr[VM, EM] {
-	return s.orient.Snapshot(s.shards, s.g.Ordering())
+	s.stats.Snapshots++
+	if s.stats.Batches == 0 && s.stats.Advances == 0 {
+		return s.g.AsSnapshot()
+	}
+	g, oriented := s.orient.Snapshot(s.shards, s.snapshotOrdering())
+	s.stats.SnapshotEntries += oriented
+	return g
+}
+
+// snapshotOrdering is the ordering Materialize orients a mutated stream
+// with: degeneracy when the seed graph was degeneracy-ordered, the degree
+// class otherwise — within a factor of 2 of the degree order's out-degree
+// bound, and a vertex's class moves only when its degree crosses a power of
+// two.
+func (s *Stream[VM, EM]) snapshotOrdering() graph.Ordering {
+	if s.g.Ordering() == graph.OrderDegeneracy {
+		return graph.OrderDegeneracy
+	}
+	return graph.OrderDegreeClass
 }
 
 // rebuild is the windowed epoch rebuild: accumulators are reset and

@@ -225,7 +225,8 @@ func TestSnapshotEqualsBuilderTwoProcess(t *testing.T) {
 								return
 							}
 						}
-						snap, ref := s.Materialize(), m.build(w, ord)
+						snap := s.Materialize()
+						ref := m.build(w, snap.Ordering())
 						dir := filepath.Join(root, fmt.Sprintf("p%d-%d", first, step+1))
 						got, err1 := localFiles(snap, dir+"-snap")
 						want, err2 := localFiles(ref, dir+"-ref")
@@ -270,14 +271,18 @@ func TestSnapshotEqualsBuilderTwoProcess(t *testing.T) {
 //     attached analysis (17 in all at the parent);
 //   - exchange rounds per snapshot: 1, the global figures (8 at the parent,
 //     one per figure);
-//   - transport messages per snapshot, world-wide: the boundary frames, one
-//     per ordered pair of ranks that share an edge (12 on 4 ranks; 6 after
-//     the last advance has all but emptied the graph), against 2 ingest
-//     halves + 2 orientation messages per live edge and one per vertex at
-//     the parent — 4·|E| + |V|. Measured on the parent commit with this
-//     script, step by step: parentSnapshotMsgs below, 3 515 in all against
-//     138 here (25×; at least 21× on every step but the last, 8× on the
-//     all-but-empty graph, where there is little left to save);
+//   - transport messages per snapshot, world-wide: the boundary frames of
+//     the vertices the step's mutation reached, at most one per ordered
+//     pair of ranks that share an edge (12 on 4 ranks). Every ingest of this
+//     script revises a stored timestamp, so it runs an epoch rebuild, whose
+//     own Materialize re-orients what the batch changed: the snapshot after
+//     it finds nothing dirty and sends nothing. An advance rebuilds nothing,
+//     and its snapshot announces the vertices the expiry reached. Measured
+//     step by step: parentSnapshotMsgs below at the commit before the
+//     orientation stage (4·|E| + |V| messages: 2 ingest halves + 2
+//     orientation messages per live edge and one per vertex), 3 515 in all;
+//     138 once the stage announced every vertex once per neighbouring rank
+//     (12 on every step, 6 on the all-but-empty last); 36 now;
 //   - handler-table growth per traversal and per snapshot: 0 (4 per
 //     traversal and 4 per snapshot at the parent).
 //
@@ -285,7 +290,7 @@ func TestSnapshotEqualsBuilderTwoProcess(t *testing.T) {
 // pinned.
 func TestLinkRoundBudget(t *testing.T) {
 	parentSnapshotMsgs := []int64{253, 299, 275, 324, 376, 280, 320, 364, 272, 328, 376, 48}
-	wantSnapshotMsgs := []int64{12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 6}
+	wantSnapshotMsgs := []int64{0, 0, 8, 0, 0, 10, 0, 0, 12, 0, 0, 6}
 	seedEdges, script := snapshotHistory(77)
 	var mu sync.Mutex
 	msgs := map[int]int64{} // step → transport messages of its snapshot, summed over processes
@@ -303,14 +308,18 @@ func TestLinkRoundBudget(t *testing.T) {
 			return
 		}
 		for step, m := range script {
+			var res core.Result
 			if m.batch != nil {
-				_, err = s.Ingest(m.batch)
+				res, err = s.Ingest(m.batch)
 			} else {
-				_, err = s.Advance(m.cutoff)
+				res, err = s.Advance(m.cutoff)
 			}
 			if err != nil {
 				t.Errorf("step %d: %v", step, err)
 				return
+			}
+			if res.Rebuilt != (m.batch != nil) {
+				t.Errorf("step %d: rebuilt %v, the script expects a rebuild on every ingest and none on an advance", step, res.Rebuilt)
 			}
 			handlers, rounds, sent := w.NumHandlers(), w.LinkRounds(), w.Stats().MessagesSent
 			snap := s.Materialize()

@@ -101,6 +101,12 @@ type Stats struct {
 	CacheEntries      int    `json:"cache_entries"`      // answers resident in the result cache now
 	CacheBytes        int64  `json:"cache_bytes"`        // what those entries are charged now (≤ EngineOptions.CacheBytes)
 	CacheEvictions    uint64 `json:"cache_evictions"`    // entries the byte budget pushed out (epoch purges not counted)
+
+	// Materializations counts the stream snapshots queries triggered, and
+	// MaterializeEntries the half-edges they oriented: a snapshot decides
+	// only the half-edges the mutations since the previous one changed.
+	Materializations   uint64 `json:"materializations"`
+	MaterializeEntries uint64 `json:"materialize_entries"`
 }
 
 // QueryResult is one job's answer.
@@ -1067,7 +1073,14 @@ func (e *Engine[VM, EM]) materialize(name string, stream *core.Stream[VM, EM]) (
 			}
 		}()
 	}
-	return stream.Materialize(), nil
+	before := stream.Stats().SnapshotEntries
+	g = stream.Materialize()
+	entries := stream.Stats().SnapshotEntries - before
+	e.bump(func(st *Stats) {
+		st.Materializations++
+		st.MaterializeEntries += entries
+	})
+	return g, nil
 }
 
 // runMutation applies one stream mutation, bumps the epoch and drops the

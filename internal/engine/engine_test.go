@@ -365,8 +365,8 @@ func TestStreamEpochInvalidation(t *testing.T) {
 	if reflect.DeepEqual(qr0.Value, qr1.Value) {
 		t.Logf("note: ingest did not change the count (possible but unlikely); values %v", qr0.Value)
 	}
-	if st := e.Stats(); st.Mutations != 1 {
-		t.Errorf("Mutations = %d, want 1", st.Mutations)
+	if st := e.Stats(); st.Mutations != 1 || st.Materializations != 2 { // one snapshot per epoch queried
+		t.Errorf("Mutations = %d, Materializations = %d; want 1 and 2", st.Mutations, st.Materializations)
 	}
 }
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tripoll/internal/serialize"
 	"tripoll/internal/ygm"
@@ -46,14 +48,26 @@ func (v *Vertex[VM, EM]) Key() OrderKey { return KeyOf(v.Ord, v.ID) }
 // OutDeg returns d⁺(v).
 func (v *Vertex[VM, EM]) OutDeg() int { return len(v.Adj) }
 
-// rankLocal is one rank's shard. After construction the per-vertex Adj
-// slices all alias one contiguous CSR-style arena (filled by the Orienter,
-// or by decodeShard on load), so a survey's sequential sweep over vertices
-// walks memory in order instead of chasing per-vertex allocations.
+// rankLocal is one rank's shard. The per-vertex Adj slices alias CSR-style
+// arenas — one per build or load, a few per stream snapshot (Orienter) — so
+// a survey's sequential sweep over vertices walks memory in order instead of
+// chasing per-vertex allocations. Neither the table, the index nor an arena
+// is written once published.
 type rankLocal[VM, EM any] struct {
-	index map[uint64]int32
-	verts []Vertex[VM, EM]
-	arena []OutEdge[VM, EM] // backing store for every verts[i].Adj
+	index   map[uint64]int32 // position of each vertex of verts[:indexed]
+	indexed int32
+	verts   []Vertex[VM, EM]
+}
+
+// find returns the position of vertex id in the table. Vertices past the
+// indexed prefix — the newcomers a stream snapshot appended — are found by
+// binary search, since the table is sorted by id.
+func (rl *rankLocal[VM, EM]) find(id uint64) (int32, bool) {
+	if i, ok := rl.index[id]; ok {
+		return i, true
+	}
+	k, ok := slices.BinarySearchFunc(rl.verts[rl.indexed:], id, func(v Vertex[VM, EM], id uint64) int { return cmp.Compare(v.ID, id) })
+	return rl.indexed + int32(k), ok
 }
 
 // DODGr is the distributed degree-ordered directed graph G⁺ with inlined
@@ -105,7 +119,7 @@ func (g *DODGr[VM, EM]) LocalVertices(r *ygm.Rank) []Vertex[VM, EM] {
 // Lookup finds a locally stored vertex by id.
 func (g *DODGr[VM, EM]) Lookup(r *ygm.Rank, id uint64) (*Vertex[VM, EM], bool) {
 	rl := &g.local[r.ID()]
-	i, ok := rl.index[id]
+	i, ok := rl.find(id)
 	if !ok {
 		return nil, false
 	}
@@ -115,7 +129,7 @@ func (g *DODGr[VM, EM]) Lookup(r *ygm.Rank, id uint64) (*Vertex[VM, EM], bool) {
 // LocalIndex returns the position of id within LocalVertices(r), or -1 if
 // the vertex is not stored on rank r.
 func (g *DODGr[VM, EM]) LocalIndex(r *ygm.Rank, id uint64) int32 {
-	i, ok := g.local[r.ID()].index[id]
+	i, ok := g.local[r.ID()].find(id)
 	if !ok {
 		return -1
 	}
@@ -157,6 +171,17 @@ func (g *DODGr[VM, EM]) SelfLoopsDropped() uint64 { return g.selfLoopsDropped }
 
 // MultiEdgesMerged reports how many duplicate edge insertions were merged.
 func (g *DODGr[VM, EM]) MultiEdgesMerged() uint64 { return g.multiEdgesMerged }
+
+// AsSnapshot returns g as the snapshot of its own edge set: the same shards
+// (shared; both graphs are immutable) and figures, less the ingest tallies —
+// self-loops dropped and duplicates merged — which a graph oriented from
+// live edges has none of. It is what a stream materializes before its first
+// mutation.
+func (g *DODGr[VM, EM]) AsSnapshot() *DODGr[VM, EM] {
+	s := *g
+	s.selfLoopsDropped, s.multiEdgesMerged = 0, 0
+	return &s
+}
 
 // CheckInvariants validates the construction on rank r's shard:
 // every out-edge points <+-upward, every adjacency list is sorted and

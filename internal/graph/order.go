@@ -1,10 +1,13 @@
 package graph
 
+import "math/bits"
+
 // Ordering selects the total vertex order <+ that orients G into G⁺. The
 // order is realized as a per-vertex uint32 weight (Vertex.Ord): degree for
-// OrderDegree (the paper's choice, §3), k-core peeling epoch for
-// OrderDegeneracy. Ties are broken by hash then id, so every strategy
-// yields a total order through the same OrderKey machinery.
+// OrderDegree (the paper's choice, §3), its bit length for OrderDegreeClass,
+// k-core peeling epoch for OrderDegeneracy. Ties are broken by hash then id,
+// so every strategy yields a total order through the same OrderKey
+// machinery.
 type Ordering uint8
 
 const (
@@ -17,6 +20,13 @@ const (
 	// in G⁺, a strictly stronger bound than the degree order gives —
 	// the Pashanasangi–Seshadhri refinement of TriPoll's idea.
 	OrderDegeneracy
+	// OrderDegreeClass orders vertices by degree class, bits.Len32(degree):
+	// every out-neighbour of v has at least half of v's degree, so the
+	// degree order's out-degree bound holds within a factor of 2. A
+	// vertex's class changes only when its degree crosses a power of two,
+	// which is what lets a stream snapshot re-orient only what a mutation
+	// reached (Orienter.Snapshot).
+	OrderDegreeClass
 )
 
 // String names the ordering for experiment output and snapshots.
@@ -26,6 +36,8 @@ func (o Ordering) String() string {
 		return "degree"
 	case OrderDegeneracy:
 		return "degeneracy"
+	case OrderDegreeClass:
+		return "degree-class"
 	default:
 		return "unknown"
 	}
@@ -38,9 +50,21 @@ func OrderingByName(name string) (Ordering, bool) {
 		return OrderDegree, true
 	case "degeneracy":
 		return OrderDegeneracy, true
+	case "degree-class":
+		return OrderDegreeClass, true
 	default:
 		return OrderDegree, false
 	}
+}
+
+// weight is a vertex's ordering weight computed from its own degree: the
+// degree, or its class. OrderDegeneracy starts from the degree too; the peel
+// replaces it.
+func (o Ordering) weight(deg uint32) uint32 {
+	if o == OrderDegreeClass {
+		return uint32(bits.Len32(deg))
+	}
+	return deg
 }
 
 // Mix64 is the splitmix64 finalizer, the deterministic hash used to break

@@ -11,16 +11,27 @@ import (
 // Orienter is the one orientation stage of graph construction: from
 // rank-local symmetric neighbourhoods (every undirected edge present at both
 // endpoint owners, deduplicated, sorted by neighbour id) to the DODGr —
-// ordering weights (the degree, or the k-core peel), the <+ orientation,
-// key-sorted adjacency in one CSR arena per rank, and the global figures.
-// A Builder feeds it what its ingest shuffle collected; a stream feeds it
-// the live entries its shards already hold (Snapshot).
+// ordering weights (the degree, its class, or the k-core peel), the <+
+// orientation, key-sorted adjacency lists, and the global figures. A Builder
+// feeds it what its ingest shuffle collected; a stream feeds it the live
+// entries its shards already hold (Snapshot).
+//
+// A stage decides the orientation of the half-edges that changed since the
+// previous stage, and of nothing else. A vertex whose ordering weight moved
+// (or that is new) rebuilds its list from its whole neighbourhood and names
+// itself to every neighbour, whose lists carry its weight; any other vertex
+// with a changed half-edge, or a moved neighbour, patches its previous list
+// with just those; every other vertex keeps the Adj slice the previous stage
+// published. A published slice is never written again, so earlier graphs
+// stay byte-identical. The first stage of an Orienter (every Builder's only
+// one) and every OrderDegeneracy stage rebuild every list.
 //
 // Orienting v's half-edge to u needs u's ordering weight and vertex
-// metadata. Same-rank neighbours are read in place; for the rest each owner
-// announces one boundary record (id, ord, vmeta) per (vertex, remote rank
-// owning at least one of its neighbours), packed thousands to a frame —
-// never more records than one per half-edge, and on few ranks far fewer.
+// metadata. Same-rank neighbours are read in place; for the rest a changed
+// vertex announces one boundary record (id, ord, vmeta, moved-weight
+// neighbours) per remote rank that may lack it, packed thousands to a frame.
+// The records are kept across stages: a vertex that did not move still has
+// its last record at every rank owning one of its neighbours.
 //
 // Construct outside parallel regions (two handlers are registered); an
 // Orienter may run any number of stages, one at a time.
@@ -33,8 +44,9 @@ type Orienter[VM, EM any] struct {
 	hPeel  ygm.HandlerID
 	hBound ygm.HandlerID
 
-	g  *DODGr[VM, EM] // graph of the stage in progress
-	st []orientState[VM, EM]
+	g        *DODGr[VM, EM] // graph of the stage in progress
+	oriented uint64         // half-edges the last stage oriented, world-wide
+	st       []orientState[VM, EM]
 }
 
 type halfEdge[EM any] struct {
@@ -48,14 +60,43 @@ type boundaryRec[VM any] struct {
 	meta VM
 }
 
-// orientState is one rank's working state for the stage in progress.
+// Stage marks, per vertex of the table.
+const (
+	markDirty uint8 = 1 << iota // a half-edge of its own changed: announce, patch
+	markMoved                   // new, or its weight moved: announce to all, rebuild
+	markFlag                    // a neighbour's weight moved: patch
+)
+
+// redoItem is one list the stage re-orients: table position v, and the
+// span of the stage's patch entries that name its changed half-edges.
+type redoItem struct{ v, lo, hi int32 }
+
+// orientState is one rank's state: the input of the stage in progress, and
+// what a stream's stages carry from one to the next.
 type orientState[VM, EM any] struct {
-	nbrs   [][]halfEdge[EM] // neighbourhood of g.local[rank].verts[i]
-	peel   peelState
-	remote map[uint64]boundaryRec[VM]
-	stage  []*serialize.Encoder // per destination: records awaiting a frame
-	seen   []int32              // per destination: last vertex announced there, +1
-	order  []int32              // Snapshot: shard vertex indices sorted by id
+	mark  []uint8              // per table vertex: stage marks
+	patch []halfRef            // (table position, neighbour) half-edges to decide again
+	nbrs  [][]halfEdge[EM]     // Builder: neighbourhood of each table vertex
+	shard *StreamShard[VM, EM] // Snapshot: the shard the table mirrors
+	order []int32              // Snapshot: table position → shard vertex index
+	pos   []int32              // Snapshot: shard vertex index → table position
+	half  []halfEdge[EM]       // Snapshot: adjacency scratch
+	peel  peelState
+
+	stage []*serialize.Encoder // per destination: records awaiting a frame
+	seen  []int32              // per destination: last vertex announced there, +1
+	dests []int                // destinations of the vertex being announced
+	lists [][]uint64           // per destination: neighbours a moved vertex names there
+	redo  []redoItem
+	ends  []int // arena end of each redo list
+
+	// Carried across stages.
+	remote      map[uint64]boundaryRec[VM] // every remote neighbour's last record
+	stages      int
+	last        rankLocal[VM, EM] // the table the last stage published
+	arena       int               // out-entries written outside the base arena since it was laid
+	compact     bool              // the next stage lays a new base arena
+	compactions int
 }
 
 // boundaryFrameBytes is the size at which staged boundary records are sent
@@ -70,6 +111,7 @@ func NewOrienter[VM, EM any](w *ygm.World, part Partitioner, vm serialize.Codec[
 		o.st[i].remote = make(map[uint64]boundaryRec[VM])
 		o.st[i].stage = make([]*serialize.Encoder, w.Size())
 		o.st[i].seen = make([]int32, w.Size())
+		o.st[i].lists = make([][]uint64, w.Size())
 	}
 	// Peel decrement: a neighbor of v was removed this subround. Buffered,
 	// not applied — see peelState.pending.
@@ -78,12 +120,8 @@ func NewOrienter[VM, EM any](w *ygm.World, part Partitioner, vm serialize.Codec[
 		if d.Err() != nil {
 			panic("graph: corrupt peel message: " + d.Err().Error())
 		}
-		i, ok := o.g.local[r.ID()].index[v]
-		if !ok {
-			panic("graph: peel decrement for unknown vertex")
-		}
 		ps := &o.st[r.ID()].peel
-		ps.pending = append(ps.pending, i)
+		ps.pending = append(ps.pending, o.localIndex(r, v))
 	})
 	o.hBound = w.RegisterHandler(func(r *ygm.Rank, d *serialize.Decoder) {
 		st := &o.st[r.ID()]
@@ -91,18 +129,67 @@ func NewOrienter[VM, EM any](w *ygm.World, part Partitioner, vm serialize.Codec[
 			id := d.Uvarint()
 			ord := uint32(d.Uvarint())
 			meta := o.vm.Decode(d)
+			k := d.Uvarint()
 			if d.Err() != nil {
 				panic("graph: corrupt boundary record: " + d.Err().Error())
 			}
 			st.remote[id] = boundaryRec[VM]{ord: ord, meta: meta}
+			for ; k > 0; k-- {
+				u := d.Uvarint()
+				if d.Err() != nil {
+					panic("graph: corrupt boundary record: " + d.Err().Error())
+				}
+				st.flag(o.localIndex(r, u), id)
+			}
 		}
 	})
 	return o
 }
 
+// localIndex is the table position of a vertex rank r stores.
+func (o *Orienter[VM, EM]) localIndex(r *ygm.Rank, v uint64) int32 {
+	i, ok := o.g.local[r.ID()].find(v)
+	if !ok {
+		panic("graph: orientation message names a vertex its rank does not store")
+	}
+	return i
+}
+
+func compareHalfRef(a, b halfRef) int {
+	if a.v != b.v {
+		return cmp.Compare(a.v, b.v)
+	}
+	return cmp.Compare(a.nbr, b.nbr)
+}
+
+// reach adds dest to the ranks table vertex i announces itself to.
+func (st *orientState[VM, EM]) reach(i, dest int) {
+	if st.seen[dest] != int32(i)+1 {
+		st.seen[dest] = int32(i) + 1
+		st.dests = append(st.dests, dest)
+	}
+}
+
+// flag queues table vertex i's half-edge to nbr, whose weight moved.
+func (st *orientState[VM, EM]) flag(i int32, nbr uint64) {
+	st.mark[i] |= markFlag
+	st.patch = append(st.patch, halfRef{i, nbr})
+}
+
 // Close releases the stage's handlers (at the end of the region when called
 // inside one). The Orienter must not be used afterwards.
 func (o *Orienter[VM, EM]) Close() { o.w.ReleaseHandlers(o.hPeel, o.hBound) }
+
+// Compactions counts the stages in which a rank of this process copied
+// every list into a new base arena, because the lists written since it
+// laid the last one outnumbered its live out-entries.
+func (o *Orienter[VM, EM]) Compactions() int {
+	n := 0
+	for i := range o.st {
+		n += o.st[i].compactions
+	}
+	return n
+}
 
 // begin creates the graph the next stage fills. One caller per process.
 func (o *Orienter[VM, EM]) begin() {
@@ -110,10 +197,10 @@ func (o *Orienter[VM, EM]) begin() {
 	o.g.local = make([]rankLocal[VM, EM], o.w.Size())
 }
 
-// load hands rank r's input to the stage: its vertices sorted by id, with
-// Deg and Ord both holding the degree, and the neighbourhood of each. A
-// rank loads before it sends anything, and handlers run on the rank's own
-// goroutine, so no message of the stage can find the input missing.
+// load hands rank r's Builder input to the stage: its vertices sorted by id
+// with Deg holding the degree, and the neighbourhood of each. A rank loads
+// before it sends anything, and handlers run on the rank's own goroutine, so
+// no message of the stage can find the input missing.
 func (o *Orienter[VM, EM]) load(r *ygm.Rank, verts []Vertex[VM, EM], nbrs [][]halfEdge[EM]) {
 	rl := &o.g.local[r.ID()]
 	rl.verts = verts
@@ -121,116 +208,104 @@ func (o *Orienter[VM, EM]) load(r *ygm.Rank, verts []Vertex[VM, EM], nbrs [][]ha
 	for i := range verts {
 		rl.index[verts[i].ID] = int32(i)
 	}
-	o.st[r.ID()].nbrs = nbrs
+	rl.indexed = int32(len(verts))
+	st := &o.st[r.ID()]
+	st.nbrs = nbrs
+	st.mark = make([]uint8, len(verts))
 }
 
-// orient runs the stage on rank r over the loaded input. Collective, inside
+// adjacency returns table vertex i's neighbourhood: the Builder's list, or
+// the live entries of the shard vertex it mirrors, copied into scratch that
+// the next call reuses.
+func (st *orientState[VM, EM]) adjacency(i int32) []halfEdge[EM] {
+	if st.shard == nil {
+		return st.nbrs[i]
+	}
+	sv := &st.shard.Verts[st.order[i]]
+	st.half = st.half[:0]
+	for j := range sv.Adj {
+		if c := &sv.Adj[j]; !c.Dead {
+			st.half = append(st.half, halfEdge[EM]{nbr: c.Target, meta: c.EMeta})
+		}
+	}
+	return st.half
+}
+
+// orient runs the stage on rank r over the loaded table. Collective, inside
 // a parallel region. selfLoops and merged are the rank's ingest tallies for
 // the global figures (merged counts each duplicate at both endpoints).
 func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, merged uint64) {
 	g := o.g
-	me, n := r.ID(), r.Size()
+	me := r.ID()
 	rl := &g.local[me]
 	st := &o.st[me]
+	// The first stage has no previous lists, and a peel can move any
+	// weight: both rebuild everything. Every rank runs the same stages, so
+	// every rank agrees. A compaction is one rank's own choice.
+	everything := st.stages == 0 || ordering == OrderDegeneracy
+	compact := st.compact && !everything
+	if compact {
+		st.compactions++
+	}
+	st.stages++
 
-	// Ordering pass: under OrderDegree every Ord already holds the degree;
-	// OrderDegeneracy replaces Ord with the removal epoch of a distributed
-	// k-core peel (the level reached is the graph's degeneracy).
+	// Ordering pass. Under OrderDegree and OrderDegreeClass a weight is a
+	// function of the vertex's own degree, so only a changed vertex's can
+	// move; OrderDegeneracy replaces every weight with the removal epoch of
+	// a distributed k-core peel (the level reached is the graph's
+	// degeneracy).
+	for i := range rl.verts {
+		v := &rl.verts[i]
+		if w := ordering.weight(v.Deg); everything || w != v.Ord {
+			v.Ord = w
+			st.mark[i] |= markDirty | markMoved
+		}
+	}
 	var degen uint32
 	if ordering == OrderDegeneracy {
 		degen = o.peelRound(r)
 	}
 
-	// Boundary exchange: announce every local vertex once to each remote
-	// rank that owns one of its neighbours.
-	clear(st.seen)
-	for i := range rl.verts {
-		v := &rl.verts[i]
-		for _, h := range st.nbrs[i] {
-			dest := o.part.Owner(h.nbr, n)
-			if dest == me || st.seen[dest] == int32(i)+1 {
-				continue
-			}
-			st.seen[dest] = int32(i) + 1
-			e := st.stage[dest]
-			if e == nil {
-				e = r.Enc()
-				st.stage[dest] = e
-			}
-			e.PutUvarint(v.ID)
-			e.PutUvarint(uint64(v.Ord))
-			o.vm.Encode(e, v.Meta)
-			if e.Len() >= boundaryFrameBytes {
-				r.Async(dest, o.hBound, e)
-				st.stage[dest] = nil
-			}
-		}
-	}
-	for dest, e := range st.stage {
-		if e != nil {
-			r.Async(dest, o.hBound, e)
-			st.stage[dest] = nil
-		}
-	}
-	r.Barrier()
+	o.announce(r, everything)
+	slices.SortFunc(st.patch, compareHalfRef)
+	arena, oriented := o.reorient(r, everything, compact)
 
-	// Orientation: Adj⁺ᵐ(v) keeps u iff v <+ u, sorted by u's order key, all
-	// lists in one CSR-style arena in vertex storage order so a survey's
-	// sequential sweep reads contiguous memory.
-	var half int
-	for i := range st.nbrs {
-		half += len(st.nbrs[i])
-	}
-	arena := make([]OutEdge[VM, EM], 0, half/2+16)
-	ends := make([]int, len(rl.verts))
+	// Publish: the figures from one scan of the table.
 	var directed, plus, wedges uint64
 	var maxDeg, maxOut uint32
 	for i := range rl.verts {
 		v := &rl.verts[i]
-		start := len(arena)
-		for _, h := range st.nbrs[i] {
-			var ord uint32
-			var meta VM
-			if o.part.Owner(h.nbr, n) == me {
-				u := &rl.verts[rl.index[h.nbr]]
-				ord, meta = u.Ord, u.Meta
-			} else {
-				rec, ok := st.remote[h.nbr]
-				if !ok {
-					panic("graph: neighbour never announced by its owner")
-				}
-				ord, meta = rec.ord, rec.meta
-			}
-			if Less(v.Ord, v.ID, ord, h.nbr) {
-				arena = append(arena, OutEdge[VM, EM]{Target: h.nbr, TOrd: ord, EMeta: h.meta, TMeta: meta})
-			}
-		}
-		slices.SortFunc(arena[start:], func(a, b OutEdge[VM, EM]) int { return CompareOrder(a.TOrd, a.Target, b.TOrd, b.Target) })
-		ends[i] = len(arena)
-		dp := uint64(len(arena) - start)
+		dp := uint64(len(v.Adj))
 		directed += uint64(v.Deg)
 		plus += dp
 		wedges += dp * (dp - 1) / 2
 		maxDeg = max(maxDeg, v.Deg)
 		maxOut = max(maxOut, uint32(dp))
 	}
-	start := 0
-	for i := range rl.verts {
-		rl.verts[i].Adj = arena[start:ends[i]:ends[i]]
-		start = ends[i]
+	if everything || compact {
+		st.arena = 0
+	} else {
+		st.arena += arena
 	}
-	rl.arena = arena
+	// Each list written since the base arena was laid superseded one there
+	// (or grew the rank): once they outnumber the live entries, the next
+	// stage copies every list into one new base — the StreamShard tombstone
+	// rule, which bounds what earlier snapshots pin and keeps a survey's
+	// sweep over the rank's lists within a few arenas.
+	st.compact = uint64(st.arena) > plus
+	st.last = *rl
 
 	// Release the stage's working memory; the boundary table is kept for
-	// the next stage of a long-lived Orienter.
+	// the next stage.
 	st.nbrs = nil
+	st.mark = nil
+	st.patch = st.patch[:0]
 	st.peel = peelState{}
-	clear(st.remote)
 
 	fig := ygm.AllReduceVec(r, []uint64{
-		uint64(len(rl.verts)), directed, plus, wedges, selfLoops, merged,
+		uint64(len(rl.verts)), directed, plus, wedges, selfLoops, merged, oriented,
 		uint64(maxDeg), uint64(maxOut),
-	}, 6)
+	}, 7)
 	if me == o.w.LeaderID() {
 		g.ordering = ordering
 		g.numVertices = fig[0]
@@ -239,10 +314,176 @@ func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, mer
 		g.numWedges = fig[3]
 		g.selfLoopsDropped = fig[4]
 		g.multiEdgesMerged = fig[5] / 2
-		g.maxDeg = uint32(fig[6])
-		g.maxOutDeg = uint32(fig[7])
+		o.oriented = fig[6]
+		g.maxDeg = uint32(fig[7])
+		g.maxOutDeg = uint32(fig[8])
 		g.degeneracy = degen
 	}
+}
+
+// announce is the boundary exchange. A moved vertex announces itself once
+// to each remote rank owning one of its live neighbours and names those
+// neighbours there (flagging its local ones); a vertex with changed
+// half-edges only to the owners of their far ends, which may have gained
+// it as a neighbour. A stage that rebuilds everything names no one.
+func (o *Orienter[VM, EM]) announce(r *ygm.Rank, everything bool) {
+	me, n := r.ID(), r.Size()
+	rl := &o.g.local[me]
+	st := &o.st[me]
+	clear(st.seen)
+	changed := len(st.patch) // the shard's half-edges, sorted; flags append past them
+	p := 0
+	for i := range rl.verts {
+		lo := p
+		for p < changed && st.patch[p].v == int32(i) {
+			p++
+		}
+		if st.mark[i]&markDirty == 0 {
+			continue
+		}
+		v := &rl.verts[i]
+		if st.mark[i]&markMoved != 0 {
+			for _, h := range st.adjacency(int32(i)) {
+				dest := o.part.Owner(h.nbr, n)
+				switch {
+				case dest != me:
+					st.reach(i, dest)
+					if !everything {
+						st.lists[dest] = append(st.lists[dest], h.nbr)
+					}
+				case !everything:
+					u, _ := rl.find(h.nbr)
+					st.flag(u, v.ID)
+				}
+			}
+		} else {
+			for k := lo; k < p; k++ {
+				if dest := o.part.Owner(st.patch[k].nbr, n); dest != me {
+					st.reach(i, dest)
+				}
+			}
+		}
+		for _, dest := range st.dests {
+			e := st.stage[dest]
+			if e == nil {
+				e = r.Enc()
+				st.stage[dest] = e
+			}
+			e.PutUvarint(v.ID)
+			e.PutUvarint(uint64(v.Ord))
+			o.vm.Encode(e, v.Meta)
+			e.PutUvarint(uint64(len(st.lists[dest])))
+			for _, u := range st.lists[dest] {
+				e.PutUvarint(u)
+			}
+			st.lists[dest] = st.lists[dest][:0]
+			if e.Len() >= boundaryFrameBytes {
+				r.Async(dest, o.hBound, e)
+				st.stage[dest] = nil
+			}
+		}
+		st.dests = st.dests[:0]
+	}
+	for dest, e := range st.stage {
+		if e != nil {
+			r.Async(dest, o.hBound, e)
+			st.stage[dest] = nil
+		}
+	}
+	r.Barrier()
+}
+
+// reorient rebuilds or patches every marked list into one new CSR-style
+// arena in vertex storage order: Adj⁺ᵐ(v) keeps u iff v <+ u, sorted by u's
+// order key. Every list is rebuilt when everything is set; when compact is,
+// the unmarked lists are copied into the arena too, so a survey's sequential
+// sweep reads contiguous memory again. It returns the arena's length and the
+// half-edges it decided.
+func (o *Orienter[VM, EM]) reorient(r *ygm.Rank, everything, compact bool) (int, uint64) {
+	me, n := r.ID(), r.Size()
+	rl := &o.g.local[me]
+	st := &o.st[me]
+	target := func(u uint64) (uint32, VM) {
+		if o.part.Owner(u, n) == me {
+			i, _ := rl.find(u)
+			return rl.verts[i].Ord, rl.verts[i].Meta
+		}
+		rec, ok := st.remote[u]
+		if !ok {
+			panic("graph: neighbour never announced by its owner")
+		}
+		return rec.ord, rec.meta
+	}
+
+	st.redo = st.redo[:0]
+	if everything || compact {
+		st.redo = slices.Grow(st.redo, len(rl.verts))
+	}
+	var rebuilt, kept, p int
+	for i := range rl.verts {
+		lo := p
+		for p < len(st.patch) && st.patch[p].v == int32(i) {
+			p++
+		}
+		if !everything && !compact && st.mark[i] == 0 {
+			continue
+		}
+		st.redo = append(st.redo, redoItem{int32(i), int32(lo), int32(p)})
+		if st.mark[i]&markMoved != 0 {
+			rebuilt += int(rl.verts[i].Deg)
+		} else {
+			kept += len(rl.verts[i].Adj) + p - lo
+		}
+	}
+	arena := make([]OutEdge[VM, EM], 0, rebuilt/2+kept+16)
+	st.ends = slices.Grow(st.ends[:0], len(st.redo))
+	var oriented uint64
+	for _, it := range st.redo {
+		v := &rl.verts[it.v]
+		start := len(arena)
+		switch {
+		case st.mark[it.v] == 0: // compaction: the list as it is
+			arena = append(arena, v.Adj...)
+			st.ends = append(st.ends, len(arena))
+			continue
+		case st.mark[it.v]&markMoved != 0:
+			for _, h := range st.adjacency(it.v) {
+				if ord, meta := target(h.nbr); Less(v.Ord, v.ID, ord, h.nbr) {
+					arena = append(arena, OutEdge[VM, EM]{Target: h.nbr, TOrd: ord, EMeta: h.meta, TMeta: meta})
+				}
+			}
+			oriented += uint64(v.Deg)
+		default:
+			// Patch: decide the named half-edges again, keep the rest.
+			ps := st.patch[it.lo:it.hi]
+			for j, c := range ps {
+				if j > 0 && ps[j-1].nbr == c.nbr {
+					continue
+				}
+				e := st.shard.Find(st.order[it.v], c.nbr)
+				if e == nil || e.Dead {
+					continue
+				}
+				oriented++
+				if ord, meta := target(c.nbr); Less(v.Ord, v.ID, ord, c.nbr) {
+					arena = append(arena, OutEdge[VM, EM]{Target: c.nbr, TOrd: ord, EMeta: e.EMeta, TMeta: meta})
+				}
+			}
+			for _, out := range v.Adj {
+				if _, named := slices.BinarySearchFunc(ps, out.Target, func(c halfRef, t uint64) int { return cmp.Compare(c.nbr, t) }); !named {
+					arena = append(arena, out)
+				}
+			}
+		}
+		slices.SortFunc(arena[start:], func(a, b OutEdge[VM, EM]) int { return CompareOrder(a.TOrd, a.Target, b.TOrd, b.Target) })
+		st.ends = append(st.ends, len(arena))
+	}
+	start := 0
+	for k, it := range st.redo {
+		rl.verts[it.v].Adj = arena[start:st.ends[k]:st.ends[k]]
+		start = st.ends[k]
+	}
+	return len(arena), oriented
 }
 
 // Snapshot orients the live, non-tombstoned entries of stream shards (one
@@ -250,41 +491,74 @@ func (o *Orienter[VM, EM]) orient(r *ygm.Rank, ordering Ordering, selfLoops, mer
 // fed the shards' vertices and live edges would build, without shuffling an
 // edge — the shards already hold every edge at both owners, sorted and
 // deduplicated. Vertices left isolated by expiry are kept. An Orienter that
-// takes snapshots serves one stream: every call passes the same shards.
-// Collective; call outside parallel regions.
-func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Ordering) *DODGr[VM, EM] {
+// takes snapshots serves one stream: every call passes the same shards, and
+// a stage after the first decides only the half-edges the shards list as
+// changed and those of vertices whose weight moved — every other list is the
+// previous snapshot's. It returns the graph and the half-edges the stage
+// decided. Collective; call outside parallel regions.
+func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Ordering) (*DODGr[VM, EM], uint64) {
 	o.begin()
 	g := o.g
 	o.w.Parallel(func(r *ygm.Rank) {
 		sh := shards[r.ID()]
 		st := &o.st[r.ID()]
+		rl := &g.local[r.ID()]
 		// Shard vertices sit in first-sight order and are never removed, so
-		// the id-sorted view of the previous stage only has to take in the
-		// newcomers.
-		for i := len(st.order); i < len(sh.Verts); i++ {
-			st.order = append(st.order, int32(i))
+		// the new table is the last one with the newcomers merged in by id.
+		// A newcomer's weight starts at zero, so it counts as moved.
+		prev, prevOrder := st.last.verts, st.order
+		newcomers := make([]int32, 0, len(sh.Verts)-len(prevOrder))
+		for i := len(prevOrder); i < len(sh.Verts); i++ {
+			newcomers = append(newcomers, int32(i))
 		}
-		slices.SortFunc(st.order, func(a, b int32) int { return cmp.Compare(sh.Verts[a].ID, sh.Verts[b].ID) })
-		verts := make([]Vertex[VM, EM], len(st.order))
-		nbrs := make([][]halfEdge[EM], len(st.order))
-		half := make([]halfEdge[EM], 0, sh.Live())
-		for i, vi := range st.order {
-			sv := &sh.Verts[vi]
-			start := len(half)
-			for j := range sv.Adj {
-				if c := &sv.Adj[j]; !c.Dead {
-					half = append(half, halfEdge[EM]{nbr: c.Target, meta: c.EMeta})
-				}
+		slices.SortFunc(newcomers, func(a, b int32) int { return cmp.Compare(sh.Verts[a].ID, sh.Verts[b].ID) })
+		order, index, indexed := prevOrder, st.last.index, st.last.indexed
+		if len(newcomers) > 0 {
+			order = make([]int32, len(sh.Verts))
+		}
+		// Newcomers with ids past the last table's (a stream whose new
+		// vertices carry new ids) append, and the index keeps serving the
+		// prefix; it is rebuilt when a newcomer lands inside the table, or
+		// once the appended tail passes an eighth of it — amortised O(1)
+		// per newcomer.
+		inside := len(newcomers) > 0 && len(prev) > 0 && sh.Verts[newcomers[0]].ID < prev[len(prev)-1].ID
+		reindex := inside || 8*(len(sh.Verts)-int(indexed)) > len(sh.Verts)
+		if reindex {
+			index, indexed = make(map[uint64]int32, len(sh.Verts)), int32(len(sh.Verts))
+		}
+		verts := make([]Vertex[VM, EM], len(sh.Verts))
+		st.pos = slices.Grow(st.pos[:0], len(sh.Verts))[:len(sh.Verts)]
+		p, q := 0, 0 // cursors into prev and newcomers
+		for t := range verts {
+			if q < len(newcomers) && (p == len(prev) || sh.Verts[newcomers[q]].ID < prev[p].ID) {
+				order[t] = newcomers[q]
+				q++
+				verts[t] = Vertex[VM, EM]{ID: sh.Verts[order[t]].ID, Meta: sh.Verts[order[t]].Meta}
+			} else {
+				order[t] = prevOrder[p]
+				verts[t] = prev[p] // Adj and Ord carried; the stage revisits them if marked
+				p++
 			}
-			d := uint32(len(half) - start)
-			verts[i] = Vertex[VM, EM]{ID: sv.ID, Deg: d, Ord: d, Meta: sv.Meta}
-			nbrs[i] = half[start:len(half):len(half)]
+			verts[t].Deg = uint32(sh.Verts[order[t]].Live)
+			st.pos[order[t]] = int32(t)
+			if reindex {
+				index[verts[t].ID] = int32(t)
+			}
 		}
-		o.load(r, verts, nbrs)
+		st.mark = make([]uint8, len(verts))
+		for _, c := range sh.dirty {
+			t := st.pos[c.v]
+			st.mark[t] |= markDirty
+			st.patch = append(st.patch, halfRef{t, c.nbr})
+		}
+		sh.dirty = sh.dirty[:0]
+		slices.SortFunc(st.patch, compareHalfRef)
+		rl.verts, rl.index, rl.indexed = verts, index, indexed
+		st.shard, st.order = sh, order
 		o.orient(r, ordering, 0, 0)
 	})
 	o.g = nil
-	return g
+	return g, o.oriented
 }
 
 // Degeneracy ordering weights pack (removal epoch, capped full degree):
@@ -366,7 +640,7 @@ func (o *Orienter[VM, EM]) peelRound(r *ygm.Rank) uint32 {
 			ps.removed[i] = true
 			rl.verts[i].Ord = peelWeight(epoch, rl.verts[i].Deg)
 			removedNow++
-			for _, h := range st.nbrs[i] {
+			for _, h := range st.adjacency(i) {
 				e := r.Enc()
 				e.PutUvarint(h.nbr)
 				r.Async(o.part.Owner(h.nbr, r.Size()), o.hPeel, e)

@@ -234,7 +234,8 @@ func (g *DODGr[VM, EM]) decodeShard(rank int, raw []byte) error {
 	rl := &g.local[rank]
 	rl.index = make(map[uint64]int32, n)
 	rl.verts = make([]Vertex[VM, EM], n)
-	rl.arena = nil
+	rl.indexed = int32(n)
+	var arena []OutEdge[VM, EM]
 	// Adjacency entries accumulate in one arena; per-vertex subslices are
 	// re-pointed afterwards (appends may move the arena), reproducing the
 	// CSR layout Build produces.
@@ -259,7 +260,7 @@ func (g *DODGr[VM, EM]) decodeShard(rank int, raw []byte) error {
 			o.TOrd = uint32(d.Uvarint())
 			o.EMeta = g.em.Decode(d)
 			o.TMeta = g.vm.Decode(d)
-			rl.arena = append(rl.arena, o)
+			arena = append(arena, o)
 		}
 		if d.Err() != nil {
 			return fmt.Errorf("graph: corrupt shard %d at vertex %d: %w", rank, i, d.Err())
@@ -272,7 +273,7 @@ func (g *DODGr[VM, EM]) decodeShard(rank int, raw []byte) error {
 	off := 0
 	for i := 0; i < n; i++ {
 		end := off + adjLens[i]
-		rl.verts[i].Adj = rl.arena[off:end:end]
+		rl.verts[i].Adj = arena[off:end:end]
 		off = end
 	}
 	return nil

@@ -21,6 +21,10 @@ import "sort"
 //     (Dead = true) so positions stay stable for any in-flight iteration,
 //     and Compact sweeps tombstones out between batches once they dominate.
 //
+// The shard also lists every half-edge changed since the last snapshot
+// (created, resurrected, tombstoned, expired or revised): the dirty set
+// Orienter.Snapshot re-orients from and then clears.
+//
 // Entries are sorted by Target id (not by <+ order key — a stream has no
 // stable degree order), so neighborhood intersections are merge paths just
 // like the survey's, keyed by id.
@@ -31,6 +35,13 @@ type StreamShard[VM, EM any] struct {
 	arena []StreamEntry[VM, EM] // seed-time backing store (Seal)
 	dead  int                   // tombstoned entries not yet compacted
 	live  int                   // live entries (half-edges) on this shard
+	dirty []halfRef             // half-edges changed since the last snapshot
+}
+
+// halfRef names the half-edge v→nbr by its owner's local index.
+type halfRef struct {
+	v   int32
+	nbr uint64
 }
 
 // StreamVert is one locally stored vertex of a stream shard: id, metadata
@@ -131,22 +142,26 @@ func (s *StreamShard[VM, EM]) Insert(vi int32, nbr uint64, em EM, tmeta VM, epoc
 			s.dead--
 			s.live++
 			v.Live++
+			s.dirty = append(s.dirty, halfRef{vi, nbr})
 			return true, false
 		}
+		if merge == nil {
+			return false, false
+		}
 		old := e.EMeta
-		if merge != nil {
-			e.EMeta = merge(old, em)
+		e.EMeta = merge(old, em)
+		changed = eq != nil && !eq(old, e.EMeta)
+		if changed || eq == nil { // without eq a revision cannot be ruled out
+			s.dirty = append(s.dirty, halfRef{vi, nbr})
 		}
-		if eq != nil && !eq(old, e.EMeta) {
-			return false, true
-		}
-		return false, false
+		return false, changed
 	}
 	v.Adj = append(v.Adj, StreamEntry[VM, EM]{})
 	copy(v.Adj[k+1:], v.Adj[k:])
 	v.Adj[k] = StreamEntry[VM, EM]{Target: nbr, EMeta: em, TMeta: tmeta, Epoch: epoch}
 	s.live++
 	v.Live++
+	s.dirty = append(s.dirty, halfRef{vi, nbr})
 	return true, false
 }
 
@@ -172,6 +187,7 @@ func (s *StreamShard[VM, EM]) Tombstone(vi int32, nbr uint64) bool {
 	s.live--
 	s.dead++
 	v.Live--
+	s.dirty = append(s.dirty, halfRef{vi, nbr})
 	return true
 }
 
@@ -198,6 +214,7 @@ func (s *StreamShard[VM, EM]) ExpireBefore(timeOf func(EM) uint64, cutoff uint64
 				e.Dead = true
 				v.Live--
 				n++
+				s.dirty = append(s.dirty, halfRef{int32(i), e.Target})
 			}
 		}
 	}

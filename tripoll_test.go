@@ -73,13 +73,16 @@ func TestPublicCounterInCallback(t *testing.T) {
 	var total uint64
 	w.Parallel(func(r *tripoll.Rank) {
 		counter.Barrier(r)
-		total = tripoll.AllReduceSum(r, func() uint64 {
+		sum := tripoll.AllReduceSum(r, func() uint64 {
 			var s uint64
 			for _, v := range counter.LocalShard(r) {
 				s += v
 			}
 			return s
 		}())
+		if r.ID() == w.LeaderID() {
+			total = sum
+		}
 	})
 	if total != res.Triangles {
 		t.Errorf("pivot counts %d != triangles %d", total, res.Triangles)
