@@ -18,9 +18,6 @@ import (
 //	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil,
 //	    tripoll.CountAnalysis[tripoll.Unit, uint64]().Bind(&total),
 //	    tripoll.ClosureTimeAnalysis[tripoll.Unit]().Bind(&joint))
-//
-// The legacy free functions (Count, ClosureTimes, LocalVertexCounts, …)
-// remain as thin wrappers over Run with the matching stock analysis.
 
 // Analysis describes one triangle analysis as a first-class value; see
 // the stock constructors below and core.Analysis for the contract each
@@ -69,15 +66,6 @@ var CanonEdge = core.CanonEdge
 // keyed by canonical edge — the truss decomposition input (§5.3).
 func EdgeCountAnalysis[VM, EM any]() Analysis[VM, EM, map[EdgeKey]uint64] {
 	return core.EdgeCountAnalysis[VM, EM]()
-}
-
-// LocalEdgeCounts computes per-edge triangle participation counts — the
-// input to truss decomposition (§5.3).
-//
-// Deprecated: use Run with EdgeCountAnalysis, which fuses with other
-// analyses in one traversal.
-func LocalEdgeCounts[VM, EM any](g *Graph[VM, EM], opts SurveyOptions) (map[EdgeKey]uint64, Result) {
-	return core.LocalEdgeCounts(g, opts)
 }
 
 // ClusteringAccum is ClusteringAnalysis's accumulator/result: per-vertex

@@ -105,7 +105,10 @@ func benchSurvey(b *testing.B, pushOnly bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := tripoll.Count(g, tripoll.SurveyOptions{Mode: mode})
+		res, err := tripoll.Run(g, tripoll.SurveyOptions{Mode: mode}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		triangles = res.Triangles
 	}
 	b.StopTimer()

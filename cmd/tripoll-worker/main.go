@@ -86,14 +86,6 @@ func temporalHooks() dist.Hooks[tripoll.Unit, uint64] {
 			if graph.Ordering(spec.Ordering) != graph.OrderDegree {
 				return nil, fmt.Errorf("build ordering %d not supported by this worker", spec.Ordering)
 			}
-			if spec.Replicas > 1 {
-				// One copy per rank span, the exact construction tripolld's
-				// buildTemporalReplica runs driver-side (with the edges).
-				span := w.Size() / spec.Replicas
-				log.Printf("building graph %q replica %d/%d (collective, ranks [%d, %d))",
-					name, spec.Replica, spec.Replicas, spec.Replica*span, (spec.Replica+1)*span)
-				return buildTemporalReplica(w, spec.Replica*span, span), nil
-			}
 			log.Printf("building graph %q (collective)", name)
 			return tripoll.BuildTemporal(w, nil), nil
 		},
@@ -129,22 +121,4 @@ func minTimestamp(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// buildTemporalReplica is the worker's side of one replica's collective
-// build: SpanPartition confines the copy to its rank span; the driver's
-// ranks feed all the edges.
-func buildTemporalReplica(w *ygm.World, first, count int) *graph.DODGr[tripoll.Unit, uint64] {
-	b := tripoll.NewGraphBuilder(w, tripoll.UnitCodec(), tripoll.Uint64Codec(), tripoll.BuilderOptions[uint64]{
-		Partitioner:   tripoll.SpanPartition{First: first, Count: count},
-		MergeEdgeMeta: minTimestamp,
-	})
-	var g *graph.DODGr[tripoll.Unit, uint64]
-	w.Parallel(func(r *ygm.Rank) {
-		gg := b.Build(r)
-		if r.ID() == w.LeaderID() {
-			g = gg
-		}
-	})
-	return g
 }

@@ -17,9 +17,7 @@
 // auto-launches them; without it, start tripoll-worker processes against
 // the logged rendezvous address. -wal composes with -workers: mutations
 // are WAL-logged here, then broadcast for a collective apply on every
-// process, two-phase committed (DESIGN.md §14). -replicas N builds N
-// read-only copies of the graph on disjoint rank spans and round-robins
-// queries across them.
+// process, two-phase committed (DESIGN.md §14).
 //
 // Endpoints:
 //
@@ -86,7 +84,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "span the world across this many worker processes (multi-process mode; forces tcp)")
 		rendezvous = flag.String("rendezvous", "127.0.0.1:0", "control-plane listen address for -workers rendezvous")
 		workerCmd  = flag.String("worker-cmd", "", "auto-launch -workers copies of this binary with -join (default: wait for external tripoll-worker processes)")
-		replicas   = flag.Int("replicas", 1, "build this many read-only copies of the graph, each confined to its own rank span; queries round-robin across them (incompatible with -wal)")
 
 		walDir     = flag.String("wal", "", "durability directory: serve the graph as a WAL-backed stream (enables /v1/ingest, /v1/advance)")
 		trussIx    = flag.Bool("truss-index", false, "maintain a triangle-span index on the stream and answer truss queries (trussness/maxtruss/spantruss) from it without traversing (requires -wal)")
@@ -120,19 +117,6 @@ func main() {
 		w       *tripoll.World
 		cluster *dist.Cluster
 	)
-	if *replicas < 1 {
-		*replicas = 1
-	}
-	if *replicas > 1 {
-		if *walDir != "" {
-			fmt.Fprintln(os.Stderr, "-replicas with -wal: replicated graphs are read-only (mutations would have to reach every copy)")
-			os.Exit(2)
-		}
-		if *ranks%*replicas != 0 {
-			fmt.Fprintf(os.Stderr, "-ranks %d is not divisible by -replicas %d (each copy owns an equal rank span)\n", *ranks, *replicas)
-			os.Exit(2)
-		}
-	}
 	if *workers > 0 {
 		procs := *workers + 1
 		if *ranks%procs != 0 {
@@ -190,26 +174,16 @@ func main() {
 		defer w.Close()
 	}
 
-	// Build the graph — one collective build per replica (plain graphs are
-	// one replica). With a cluster, each build job is broadcast before this
-	// process's ranks enter their side: both sides must be inside
+	// Build the graph. With a cluster, the build job is broadcast before
+	// this process's ranks enter their side: both sides must be inside
 	// Builder.Build for the shuffle to complete.
-	var copies []*tripoll.Graph[tripoll.Unit, uint64]
-	span := *ranks / *replicas
-	for i := 0; i < *replicas; i++ {
-		if cluster != nil {
-			if err := cluster.Build(*graphName, dist.BuildSpec{Policy: "temporal", Replica: i, Replicas: *replicas}); err != nil {
-				fmt.Fprintf(os.Stderr, "broadcast build: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		if *replicas == 1 {
-			copies = append(copies, tripoll.BuildTemporal(w, edges))
-		} else {
-			copies = append(copies, buildTemporalReplica(w, edges, i*span, span))
+	if cluster != nil {
+		if err := cluster.Build(*graphName, dist.BuildSpec{Policy: "temporal"}); err != nil {
+			fmt.Fprintf(os.Stderr, "broadcast build: %v\n", err)
+			os.Exit(2)
 		}
 	}
-	g := copies[0]
+	g := tripoll.BuildTemporal(w, edges)
 	info := tripoll.Info(g)
 	log.Printf("graph %q: |V|=%d |E|=%d (directed) |W+|=%d", *graphName, info.Vertices, info.DirectedEdges, info.Wedges)
 
@@ -271,12 +245,6 @@ func main() {
 			log.Printf("truss index on %q: %d edges, %d span buckets (epoch %d)", *graphName, st.Edges, st.Buckets, st.Epoch)
 		}
 		log.Printf("durable stream %q: wal=%s sync=%s epoch=%d", *graphName, *walDir, *walSync, epoch)
-	} else if *replicas > 1 {
-		if err := eng.RegisterReplicated(*graphName, copies); err != nil {
-			fmt.Fprintf(os.Stderr, "register: %v\n", err)
-			os.Exit(2)
-		}
-		log.Printf("graph %q: %d replicas x %d-rank spans, queries round-robin", *graphName, *replicas, span)
 	} else if err := eng.Register(*graphName, g); err != nil {
 		fmt.Fprintf(os.Stderr, "register: %v\n", err)
 		os.Exit(2)
@@ -302,29 +270,6 @@ func minTimestamp(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// buildTemporalReplica is BuildTemporal confined to one replica's rank
-// span: SpanPartition places every vertex on ranks [first, first+count),
-// so each copy's traversals exchange messages only among its own ranks.
-// tripoll-worker's Build hook runs the same construction with no edges.
-func buildTemporalReplica(w *tripoll.World, edges []tripoll.TemporalEdge, first, count int) *tripoll.Graph[tripoll.Unit, uint64] {
-	b := tripoll.NewGraphBuilder(w, tripoll.UnitCodec(), tripoll.Uint64Codec(), tripoll.BuilderOptions[uint64]{
-		Partitioner:   tripoll.SpanPartition{First: first, Count: count},
-		MergeEdgeMeta: minTimestamp,
-	})
-	var g *tripoll.Graph[tripoll.Unit, uint64]
-	lf, lc := w.LocalSpan()
-	w.Parallel(func(r *tripoll.Rank) {
-		for i := r.ID() - lf; i < len(edges); i += lc {
-			b.AddEdge(r, edges[i].U, edges[i].V, edges[i].Time)
-		}
-		gg := b.Build(r)
-		if r.ID() == w.LeaderID() {
-			g = gg
-		}
-	})
-	return g
 }
 
 func loadEdges(input, model string, seed int64, size int) ([]tripoll.TemporalEdge, error) {

@@ -995,9 +995,10 @@ func TestTrussIndexServedOverHTTP(t *testing.T) {
 	}
 }
 
-// TestSpanTrussArgBoundsOverHTTP: spantruss arguments past their bounds are
-// a 400 naming the bound — whether the traversal's factory rejects them or
-// the maintained index does — and the bounds themselves are served.
+// TestSpanTrussArgBoundsOverHTTP: spantruss and sweep arguments past their
+// bounds are a 400 naming the bound — whether the traversal's factory
+// rejects them or the maintained index does — and the bounds themselves are
+// served.
 func TestSpanTrussArgBoundsOverHTTP(t *testing.T) {
 	plain, _ := newTestServer(t)
 
@@ -1023,15 +1024,20 @@ func TestSpanTrussArgBoundsOverHTTP(t *testing.T) {
 	spans := func(n int) string {
 		return "[" + strings.TrimSuffix(strings.Repeat(`{"from":0,"until":9},`, n), ",") + "]"
 	}
+	deltas := func(n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(`60,`, n), ",") + "]"
+	}
 	cases := []struct {
-		name, args string
-		code       int
+		analysis, name, args string
+		code                 int
 	}{
-		{"64 spans", `{"spans":` + spans(64) + `}`, 200},
-		{"k=2147483647", `{"k":2147483647}`, 200},
-		{"65 spans", `{"spans":` + spans(65) + `}`, 400},
-		{"k=2147483648", `{"k":2147483648}`, 400},
-		{"k=1", `{"k":1}`, 400},
+		{"spantruss", "64 spans", `{"spans":` + spans(64) + `}`, 200},
+		{"spantruss", "k=2147483647", `{"k":2147483647}`, 200},
+		{"spantruss", "65 spans", `{"spans":` + spans(65) + `}`, 400},
+		{"spantruss", "k=2147483648", `{"k":2147483648}`, 400},
+		{"spantruss", "k=1", `{"k":1}`, 400},
+		{"sweep", "64 deltas", `{"deltas":` + deltas(64) + `}`, 200},
+		{"sweep", "65 deltas", `{"deltas":` + deltas(65) + `}`, 400},
 	}
 	for _, srv := range []struct {
 		name        string
@@ -1040,15 +1046,16 @@ func TestSpanTrussArgBoundsOverHTTP(t *testing.T) {
 	}{{"traversal", plain.URL, false}, {"index", indexed.URL, true}} {
 		for _, tc := range cases {
 			var st jobStatus
-			code := postJSON(t, srv.url+"/v1/query?wait=1", `{"analysis":"spantruss","nocache":true,"args":`+tc.args+`}`, &st)
+			code := postJSON(t, srv.url+"/v1/query?wait=1", `{"analysis":"`+tc.analysis+`","nocache":true,"args":`+tc.args+`}`, &st)
 			if code != tc.code {
 				t.Errorf("%s: %s: code=%d, want %d (%+v)", srv.name, tc.name, code, tc.code, st)
 				continue
 			}
-			if code == 400 && !strings.Contains(st.Error, "bad spantruss args") {
+			if code == 400 && !strings.Contains(st.Error, "bad "+tc.analysis+" args") {
 				t.Errorf("%s: %s: error %q does not name the rejection", srv.name, tc.name, st.Error)
 			}
-			if code == 200 && (st.Result == nil || st.Result.IndexServed != srv.indexServed) {
+			// The index serves truss analyses only; a sweep always traverses.
+			if code == 200 && (st.Result == nil || st.Result.IndexServed != (srv.indexServed && tc.analysis == "spantruss")) {
 				t.Errorf("%s: %s: served by the wrong path: %+v", srv.name, tc.name, st.Result)
 			}
 		}

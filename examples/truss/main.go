@@ -27,7 +27,11 @@ func main() {
 	fmt.Printf("graph: |V|=%d undirected |E|=%d\n", info.Vertices, info.PlusEdges)
 
 	// Distributed survey → per-edge triangle counts.
-	counts, res := tripoll.LocalEdgeCounts(g, tripoll.SurveyOptions{})
+	var counts map[tripoll.EdgeKey]uint64
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.EdgeCountAnalysis[tripoll.Unit, tripoll.Unit]().Bind(&counts))
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("triangles: %d; edges with triangle support: %d\n", res.Triangles, len(counts))
 
 	// Single-machine peeling, seeded and verified by the survey's counts.

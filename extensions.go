@@ -3,7 +3,6 @@ package tripoll
 import (
 	"tripoll/internal/core"
 	"tripoll/internal/graph"
-	"tripoll/internal/serialize"
 )
 
 // --- Directed-input support (§4: two-bit original directionality) -------
@@ -47,14 +46,6 @@ func AddArc[VM, EM any](b *GraphBuilder[VM, DirectedMeta[EM]], r *Rank, u, v uin
 // transitive, reciprocal-containing, or undirected-containing.
 type DirectedCensus = core.DirectedCensus
 
-// SurveyDirectedCensus runs the directed-motif census.
-//
-// Deprecated: use Run with DirectedCensusAnalysis, which fuses with other
-// analyses in one traversal.
-func SurveyDirectedCensus[VM, EM any](g *Graph[VM, DirectedMeta[EM]], opts SurveyOptions) (DirectedCensus, Result) {
-	return core.SurveyDirectedCensus(g, opts)
-}
-
 // --- Labeled triangle index ([45]) ---------------------------------------
 
 // LabelIndexKey is one (edge, closing-vertex-label) bucket.
@@ -63,38 +54,7 @@ type LabelIndexKey[VM comparable] = core.LabelIndexKey[VM]
 // LabelIndex maps (edge, label) buckets to triangle counts.
 type LabelIndex[VM comparable] = core.LabelIndex[VM]
 
-// BuildLabelIndex surveys the graph once into a labeled triangle index:
-// per-edge counts of triangles closing with each vertex label, the
-// pattern-matching acceleration structure of Reza et al. [45]. labelCodec
-// is unused now that accumulation is rank-local; the parameter is retained
-// for source compatibility.
-//
-// Deprecated: use Run with LabelIndexAnalysis, which fuses with other
-// analyses in one traversal and needs no codec.
-func BuildLabelIndex[VM comparable, EM any](g *Graph[VM, EM], opts SurveyOptions, labelCodec serialize.Codec[VM]) (LabelIndex[VM], Result) {
-	return core.BuildLabelIndex(g, opts, labelCodec)
-}
-
 // --- Temporal windows ([40]-style δ-motifs) -------------------------------
-
-// TemporalWindowCount counts triangles whose edge timestamps span at most
-// delta.
-//
-// Deprecated: use Run with TemporalWindowAnalysis (or, to also prune the
-// communication, a plan with CloseWithin).
-func TemporalWindowCount[VM any](g *Graph[VM, uint64], delta uint64, opts SurveyOptions) (within, total uint64, res Result) {
-	return core.TemporalWindowCount(g, delta, opts)
-}
-
-// TemporalWindowSweep evaluates several windows in one fused survey pass —
-// a single traversal covering every delta, whose phase stats the returned
-// Result reports.
-//
-// Deprecated: use Run with TemporalSweepAnalysis, which additionally fuses
-// with other analyses.
-func TemporalWindowSweep[VM any](g *Graph[VM, uint64], deltas []uint64, opts SurveyOptions) (map[uint64]uint64, Result) {
-	return core.TemporalWindowSweep(g, deltas, opts)
-}
 
 // --- Snapshots -------------------------------------------------------------
 

@@ -32,7 +32,11 @@ func TestPublicDirectedCensus(t *testing.T) {
 			g = gg
 		}
 	})
-	census, res := tripoll.SurveyDirectedCensus(g, tripoll.SurveyOptions{})
+	var census tripoll.DirectedCensus
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.DirectedCensusAnalysis[tripoll.Unit, tripoll.Unit]().Bind(&census))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 2 || census.Cyclic != 1 || census.Transitive != 1 {
 		t.Errorf("census = %+v (triangles %d)", census, res.Triangles)
 	}
@@ -63,7 +67,11 @@ func TestPublicLabelIndex(t *testing.T) {
 			g = gg
 		}
 	})
-	ix, res := tripoll.BuildLabelIndex(g, tripoll.SurveyOptions{}, tripoll.StringCodec())
+	var ix tripoll.LabelIndex[string]
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.LabelIndexAnalysis[string, tripoll.Unit]().Bind(&ix))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 1 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}
@@ -77,7 +85,10 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 	defer w.Close()
 	edges := datagen.BarabasiAlbert(800, 5, 13)
 	g := tripoll.BuildSimple(w, edges)
-	before := tripoll.Count(g, tripoll.SurveyOptions{})
+	before, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir() + "/snap"
 	if err := tripoll.SaveGraph(g, dir); err != nil {
@@ -87,7 +98,10 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := tripoll.Count(g2, tripoll.SurveyOptions{})
+	after, err := tripoll.Run(g2, tripoll.SurveyOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after.Triangles != before.Triangles {
 		t.Errorf("count after reload = %d, want %d", after.Triangles, before.Triangles)
 	}
@@ -102,12 +116,19 @@ func TestPublicTemporalWindows(t *testing.T) {
 	g := tripoll.BuildTemporal(w, []tripoll.TemporalEdge{
 		{U: 0, V: 1, Time: 10}, {U: 1, V: 2, Time: 20}, {U: 0, V: 2, Time: 30},
 	})
-	within, total, _ := tripoll.TemporalWindowCount(g, 20, tripoll.SurveyOptions{})
-	if total != 1 || within != 1 {
-		t.Errorf("window 20: within=%d total=%d", within, total)
+	var within uint64
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.TemporalWindowAnalysis[tripoll.Unit](20).Bind(&within))
+	if err != nil {
+		t.Fatal(err)
 	}
-	counts, _ := tripoll.TemporalWindowSweep(g, []uint64{5, 25}, tripoll.SurveyOptions{})
-	if counts[5] != 0 || counts[25] != 1 {
+	if res.Triangles != 1 || within != 1 {
+		t.Errorf("window 20: within=%d total=%d", within, res.Triangles)
+	}
+	var counts []uint64
+	if _, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.TemporalSweepAnalysis[tripoll.Unit]([]uint64{5, 25}).Bind(&counts)); err != nil {
+		t.Fatal(err)
+	}
+	if counts[0] != 0 || counts[1] != 1 {
 		t.Errorf("sweep = %v", counts)
 	}
 }
@@ -119,7 +140,9 @@ func TestPublicGroupedWorld(t *testing.T) {
 	}
 	defer w.Close()
 	g := tripoll.BuildSimple(w, datagen.Complete(8))
-	if res := tripoll.Count(g, tripoll.SurveyOptions{}); res.Triangles != 56 {
+	if res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil); err != nil {
+		t.Fatal(err)
+	} else if res.Triangles != 56 {
 		t.Errorf("grouped-world count = %d, want 56", res.Triangles)
 	}
 }

@@ -178,7 +178,7 @@ func TrussFromSupports(edges []Edge, counts map[Edge]uint64) map[Edge]int {
 
 // TrussFromEdgeCounts decomposes from the topology and verifies externally
 // computed per-edge triangle counts (e.g. from the distributed
-// LocalEdgeCounts survey) against it, returning the number of edges whose
+// EdgeCountAnalysis survey) against it, returning the number of edges whose
 // count disagrees. This is the integration point between the distributed
 // survey and the decomposition.
 func TrussFromEdgeCounts(edges []Edge, counts map[Edge]uint64) (map[Edge]int, int) {

@@ -1,10 +1,8 @@
 package baseline
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
@@ -53,17 +51,6 @@ func TestSerialLocalCounts(t *testing.T) {
 	counts := SerialLocalCounts([][2]uint64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}})
 	if counts[2] != 2 || counts[0] != 1 || counts[4] != 1 {
 		t.Errorf("bowtie local counts = %v", counts)
-	}
-}
-
-func TestSharedMemMatchesSerialProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		edges := randomEdges(rng, 5+rng.Intn(50), rng.Intn(400))
-		return SharedMemCount(edges, 1+rng.Intn(8)) == SerialCount(edges)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -132,67 +119,5 @@ func TestReplicatedVolumeScalesWithRanks(t *testing.T) {
 	// Full replication: broadcast volume must grow ~linearly with ranks.
 	if r4.Bytes < r2.Bytes*3/2 {
 		t.Errorf("replication volume did not scale: 2 ranks %d bytes, 4 ranks %d bytes", r2.Bytes, r4.Bytes)
-	}
-}
-
-func TestDoulionUnbiasedAtP1(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	edges := randomEdges(rng, 30, 300)
-	want := float64(SerialCount(edges))
-	if got := DoulionCount(edges, 1.0, 7); got != want {
-		t.Errorf("DOULION p=1 = %v, want %v", got, want)
-	}
-}
-
-func TestDoulionApproximation(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	// A dense-ish graph so the estimate concentrates.
-	edges := randomEdges(rng, 60, 2500)
-	want := float64(SerialCount(edges))
-	if want < 100 {
-		t.Fatalf("test graph too sparse: %v triangles", want)
-	}
-	// Average several seeds: the estimator is unbiased.
-	var sum float64
-	const runs = 30
-	for s := int64(0); s < runs; s++ {
-		sum += DoulionCount(edges, 0.7, s)
-	}
-	got := sum / runs
-	if math.Abs(got-want)/want > 0.15 {
-		t.Errorf("DOULION mean estimate %v too far from %v", got, want)
-	}
-}
-
-func TestDoulionPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DoulionCount([][2]uint64{{0, 1}}, 0, 1)
-}
-
-func TestWedgeSampleApproximation(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	edges := randomEdges(rng, 60, 2500)
-	want := float64(SerialCount(edges))
-	var sum float64
-	const runs = 20
-	for s := int64(0); s < runs; s++ {
-		sum += WedgeSampleCount(edges, 4000, s)
-	}
-	got := sum / runs
-	if math.Abs(got-want)/want > 0.15 {
-		t.Errorf("wedge-sample mean estimate %v too far from %v", got, want)
-	}
-}
-
-func TestWedgeSampleDegenerate(t *testing.T) {
-	if got := WedgeSampleCount([][2]uint64{{0, 1}}, 100, 1); got != 0 {
-		t.Errorf("no wedges → %v", got)
-	}
-	if got := WedgeSampleCount(nil, 0, 1); got != 0 {
-		t.Errorf("empty → %v", got)
 	}
 }

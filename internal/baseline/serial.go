@@ -1,17 +1,13 @@
 // Package baseline implements the comparison systems of Table 2 and the
 // reference implementations used to validate TriPoll:
 //
-//   - Serial / SharedMem: exact single-node counters (ground truth; the
-//     shared-memory variant mirrors the multicore systems of §2);
+//   - Serial: the exact single-node counter (ground truth);
 //   - WedgeQuery: the Pearce et al. [42] communication pattern — per-wedge
 //     existence queries against the closing edge's owner;
 //   - Replicated: the Tom et al. [58] stand-in — full replication,
 //     throughput-oriented, memory-unscalable;
 //   - EdgeCentric: the TriC [20] stand-in — edge-balanced partitions that
-//     fetch adjacency lists on demand with caching;
-//   - Doulion / WedgeSample: approximate counters (the sparsification and
-//     sampling families the paper's introduction cites as sufficient when
-//     per-triangle processing is not required).
+//     fetch adjacency lists on demand with caching.
 //
 // All distributed baselines run on the same ygm runtime as TriPoll so
 // Table 2 compares communication patterns, not toolchains.

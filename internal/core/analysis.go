@@ -185,10 +185,8 @@ func (b *bound[VM, EM, T]) finish() {
 // Result.Triangles counts (plan-matching) enumerated triangles regardless
 // of what the analyses observe.
 //
-// Call outside parallel regions. Every stock survey in this package is a
-// thin wrapper over Run with the matching stock Analysis. Errors are an
-// invalid plan or a malformed analysis (no Observe, or no Merge on a
-// multi-rank world).
+// Call outside parallel regions. Errors are an invalid plan or a malformed
+// analysis (no Observe, or no Merge on a multi-rank world).
 func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analyses ...Attached[VM, EM]) (Result, error) {
 	w := g.World()
 	names := make([]string, len(analyses))
@@ -230,15 +228,6 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 		}
 	}
 	return res, nil
-}
-
-// mustResult unwraps Run for the deprecated stock wrappers, which pass a
-// nil plan and well-formed stock analyses: no error is reachable there.
-func mustResult(res Result, err error) Result {
-	if err != nil {
-		panic("core: stock survey wrapper: " + err.Error())
-	}
-	return res
 }
 
 // mergeCounts is the standard Merge for map-of-counters accumulators.

@@ -8,9 +8,7 @@ import (
 )
 
 // Stock analyses: the paper's surveys packaged as Analysis values, all
-// fusable into one traversal via Run. The historical free functions below
-// each wrap Run with the matching stock analysis; prefer Run directly when
-// asking the engine more than one question.
+// fusable into one traversal via Run.
 
 // CountAnalysis counts observed triangles. The engine maintains
 // Result.Triangles anyway; attach this when a fused run wants the count
@@ -39,26 +37,6 @@ func VertexCountAnalysis[VM, EM any]() Analysis[VM, EM, map[uint64]uint64] {
 		},
 		Merge: mergeCounts[uint64],
 	}
-}
-
-// Count runs a survey with no attached analyses — the simple triangle
-// counting of Alg. 2, the "subset of the functionality" used for all of the
-// paper's performance comparisons.
-//
-// Deprecated: equivalent to Run(g, opts, nil); kept as the conventional
-// name for the bare count.
-func Count[VM, EM any](g *graph.DODGr[VM, EM], opts Options) Result {
-	return mustResult(Run[VM, EM](g, opts, nil))
-}
-
-// LocalVertexCounts computes per-vertex triangle participation counts.
-//
-// Deprecated: use Run with VertexCountAnalysis, which fuses with other
-// analyses in one traversal.
-func LocalVertexCounts[VM, EM any](g *graph.DODGr[VM, EM], opts Options) (map[uint64]uint64, Result) {
-	var counts map[uint64]uint64
-	res := mustResult(Run(g, opts, nil, VertexCountAnalysis[VM, EM]().Bind(&counts)))
-	return counts, res
 }
 
 // ClusteringStats holds the output of ClusteringAnalysis. Under a plan,
@@ -149,17 +127,6 @@ func ClusteringAnalysis[VM, EM any](g *graph.DODGr[VM, EM]) Analysis[VM, EM, Clu
 	}
 }
 
-// ClusteringCoefficients derives clustering statistics from local triangle
-// counts.
-//
-// Deprecated: use Run with ClusteringAnalysis, which fuses with other
-// analyses in one traversal.
-func ClusteringCoefficients[VM, EM any](g *graph.DODGr[VM, EM], opts Options) (ClusteringStats, Result) {
-	var acc ClusteringAccum
-	res := mustResult(Run(g, opts, nil, ClusteringAnalysis(g).Bind(&acc)))
-	return acc.Stats, res
-}
-
 // MaxEdgeLabelAnalysis is Alg. 3: the distribution of the maximum edge
 // label across triangles. distinctLabels applies the algorithm's guard that
 // the three vertex labels be pairwise distinct; pass false on graphs whose
@@ -186,17 +153,6 @@ func MaxEdgeLabelAnalysis[VM comparable](distinctLabels bool) Analysis[VM, uint6
 	}
 }
 
-// MaxEdgeLabelDistribution is Alg. 3: among triangles whose three vertex
-// labels are pairwise distinct, the distribution of the maximum edge label.
-//
-// Deprecated: use Run with MaxEdgeLabelAnalysis, which fuses with other
-// analyses in one traversal.
-func MaxEdgeLabelDistribution[VM comparable](g *graph.DODGr[VM, uint64], opts Options) (map[uint64]uint64, Result) {
-	var dist map[uint64]uint64
-	res := mustResult(Run(g, opts, nil, MaxEdgeLabelAnalysis[VM](true).Bind(&dist)))
-	return dist, res
-}
-
 // TimePair is a (⌈log₂ Δt_open⌉, ⌈log₂ Δt_close⌉) bucket pair.
 type TimePair = serialize.Pair[int64, int64]
 
@@ -220,16 +176,6 @@ func ClosureTimeAnalysis[VM any]() Analysis[VM, uint64, *stats.Joint2D] {
 		},
 		Merge: (*stats.Joint2D).Merge,
 	}
-}
-
-// ClosureTimes is Alg. 4 (the §5.7 Reddit survey).
-//
-// Deprecated: use Run with ClosureTimeAnalysis, which fuses with other
-// analyses in one traversal.
-func ClosureTimes[VM any](g *graph.DODGr[VM, uint64], opts Options) (*stats.Joint2D, Result) {
-	var joint *stats.Joint2D
-	res := mustResult(Run(g, opts, nil, ClosureTimeAnalysis[VM]().Bind(&joint)))
-	return joint, res
 }
 
 // sort3 returns a, b, c in ascending order.
@@ -266,14 +212,4 @@ func DegreeTripleAnalysis[EM any]() Analysis[uint64, EM, map[DegreeTriple]uint64
 		},
 		Merge: mergeCounts[DegreeTriple],
 	}
-}
-
-// DegreeTriples counts log₂-bucketed degree triples across all triangles.
-//
-// Deprecated: use Run with DegreeTripleAnalysis, which fuses with other
-// analyses in one traversal.
-func DegreeTriples[EM any](g *graph.DODGr[uint64, EM], opts Options) (map[DegreeTriple]uint64, Result) {
-	var counts map[DegreeTriple]uint64
-	res := mustResult(Run(g, opts, nil, DegreeTripleAnalysis[EM]().Bind(&counts)))
-	return counts, res
 }

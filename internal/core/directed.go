@@ -78,14 +78,3 @@ func DirectedCensusAnalysis[VM, EM any]() Analysis[VM, graph.Directed[EM], Direc
 		Merge: DirectedCensus.add,
 	}
 }
-
-// SurveyDirectedCensus runs the census over a graph built with
-// graph.AddArc / graph.MergeDirected edge metadata.
-//
-// Deprecated: use Run with DirectedCensusAnalysis, which fuses with other
-// analyses in one traversal.
-func SurveyDirectedCensus[VM, EM any](g *graph.DODGr[VM, graph.Directed[EM]], opts Options) (DirectedCensus, Result) {
-	var census DirectedCensus
-	res := mustResult(Run(g, opts, nil, DirectedCensusAnalysis[VM, EM]().Bind(&census)))
-	return census, res
-}

@@ -34,7 +34,11 @@ func buildDirected(t testing.TB, nranks int, arcs [][2]uint64) (*ygm.World, *gra
 func TestDirectedCensusCycle(t *testing.T) {
 	w, g := buildDirected(t, 2, [][2]uint64{{0, 1}, {1, 2}, {2, 0}})
 	defer w.Close()
-	c, res := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	res, err := Run(g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 1 || c.Cyclic != 1 || c.Total() != 1 {
 		t.Errorf("cycle census = %+v (triangles %d)", c, res.Triangles)
 	}
@@ -51,7 +55,11 @@ func TestDirectedCensusTransitiveTournament(t *testing.T) {
 	}
 	w, g := buildDirected(t, 3, arcs)
 	defer w.Close()
-	c, res := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	res, err := Run(g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 10 || c.Transitive != 10 || c.Cyclic != 0 {
 		t.Errorf("tournament census = %+v (triangles %d)", c, res.Triangles)
 	}
@@ -61,7 +69,10 @@ func TestDirectedCensusReciprocal(t *testing.T) {
 	// Triangle with one bidirectional edge.
 	w, g := buildDirected(t, 2, [][2]uint64{{0, 1}, {1, 0}, {1, 2}, {2, 0}})
 	defer w.Close()
-	c, _ := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	if _, err := Run(g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c)); err != nil {
+		t.Fatal(err)
+	}
 	if c.Reciprocal != 1 || c.Total() != 1 {
 		t.Errorf("reciprocal census = %+v", c)
 	}
@@ -92,7 +103,11 @@ func TestDirectedCensusRandomTournamentInvariant(t *testing.T) {
 	}
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildDirected(t, 4, arcs)
-		c, res := SurveyDirectedCensus(g, Options{Mode: mode})
+		var c DirectedCensus
+		res, err := Run(g, Options{Mode: mode}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Triangles != total {
 			t.Errorf("mode %v: triangles = %d, want %d", mode, res.Triangles, total)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
 	"tripoll/internal/ygm"
 )
@@ -33,14 +32,4 @@ func EdgeCountAnalysis[VM, EM any]() Analysis[VM, EM, map[EdgeKey]uint64] {
 		},
 		Merge: mergeCounts[EdgeKey],
 	}
-}
-
-// LocalEdgeCounts computes per-edge triangle participation counts.
-//
-// Deprecated: use Run with EdgeCountAnalysis, which fuses with other
-// analyses in one traversal.
-func LocalEdgeCounts[VM, EM any](g *graph.DODGr[VM, EM], opts Options) (map[EdgeKey]uint64, Result) {
-	var counts map[EdgeKey]uint64
-	res := mustResult(Run(g, opts, nil, EdgeCountAnalysis[VM, EM]().Bind(&counts)))
-	return counts, res
 }

@@ -32,7 +32,11 @@ func TestLocalEdgeCountsAgainstSerial(t *testing.T) {
 	}
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildMeta(t, 3, edges, ygm.Options{})
-		got, res := LocalEdgeCounts(g, Options{Mode: mode})
+		var got map[EdgeKey]uint64
+		res, err := Run(g, Options{Mode: mode}, nil, EdgeCountAnalysis[uint64, uint64]().Bind(&got))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Triangles != baseline.SerialCount(edges) {
 			t.Errorf("mode %v: triangles = %d", mode, res.Triangles)
 		}
@@ -59,7 +63,10 @@ func TestLocalEdgeCountsAgainstSerial(t *testing.T) {
 func TestLocalEdgeCountsK4(t *testing.T) {
 	w, g := buildMeta(t, 2, k4, ygm.Options{})
 	defer w.Close()
-	got, _ := LocalEdgeCounts(g, Options{})
+	var got map[EdgeKey]uint64
+	if _, err := Run(g, Options{}, nil, EdgeCountAnalysis[uint64, uint64]().Bind(&got)); err != nil {
+		t.Fatal(err)
+	}
 	// Every K4 edge supports exactly 2 triangles.
 	if len(got) != 6 {
 		t.Fatalf("edges = %d", len(got))

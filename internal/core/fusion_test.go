@@ -247,7 +247,7 @@ func TestReduceAcrossRankCounts(t *testing.T) {
 }
 
 // TestSweepSingleTraversal asserts the satellite claim directly: a
-// TemporalWindowSweep over many deltas reports the phase stats of a
+// TemporalSweepAnalysis over many deltas reports the phase stats of a
 // *single* traversal — identical to one bare count of the same graph in
 // the same mode — and names the sweep in Result.Analyses.
 func TestSweepSingleTraversal(t *testing.T) {
@@ -262,8 +262,15 @@ func TestSweepSingleTraversal(t *testing.T) {
 	defer w.Close()
 	deltas := []uint64{10, 100, 400, 999}
 	for _, mode := range []Mode{PushOnly, PushPull} {
-		counts, res := TemporalWindowSweep(g, deltas, Options{Mode: mode})
-		ref := Count(g, Options{Mode: mode})
+		var counts []uint64
+		res, err := Run(g, Options{Mode: mode}, nil, TemporalSweepAnalysis[uint64](deltas).Bind(&counts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run(g, Options{Mode: mode}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if totalMsgs(res) != totalMsgs(ref) || totalBytes(res) != totalBytes(ref) {
 			t.Errorf("%s: sweep over %d deltas moved %d msgs/%d bytes; a single traversal moves %d/%d",
 				mode, len(deltas), totalMsgs(res), totalBytes(res), totalMsgs(ref), totalBytes(ref))
@@ -277,17 +284,21 @@ func TestSweepSingleTraversal(t *testing.T) {
 			t.Errorf("%s: Result.Analyses = %v, want %v", mode, res.Analyses, want)
 		}
 		// Every per-delta answer must match its standalone windowed count.
-		for _, d := range deltas {
-			within, total, _ := TemporalWindowCount(g, d, Options{Mode: mode})
-			if counts[d] != within {
-				t.Errorf("%s: sweep[δ=%d] = %d, standalone window count %d", mode, d, counts[d], within)
+		for i, d := range deltas {
+			var within uint64
+			one, err := Run(g, Options{Mode: mode}, nil, TemporalWindowAnalysis[uint64](d).Bind(&within))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if total != res.Triangles {
-				t.Errorf("%s: standalone total %d, sweep traversal saw %d", mode, total, res.Triangles)
+			if counts[i] != within {
+				t.Errorf("%s: sweep[δ=%d] = %d, standalone window count %d", mode, d, counts[i], within)
+			}
+			if one.Triangles != res.Triangles {
+				t.Errorf("%s: standalone total %d, sweep traversal saw %d", mode, one.Triangles, res.Triangles)
 			}
 		}
 		// Monotonicity over sorted deltas (sanity on the shared spread).
-		if counts[10] > counts[100] || counts[100] > counts[400] || counts[400] > counts[999] {
+		if counts[0] > counts[1] || counts[1] > counts[2] || counts[2] > counts[3] {
 			t.Errorf("%s: sweep counts not monotone in delta: %v", mode, counts)
 		}
 	}

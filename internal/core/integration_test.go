@@ -55,7 +55,10 @@ func TestIntegrationMatrix(t *testing.T) {
 								dg = gg
 							}
 						})
-						res := Count(dg, Options{Mode: mode})
+						res, err := Run(dg, Options{Mode: mode}, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
 						if res.Triangles != want {
 							t.Errorf("count = %d, want %d", res.Triangles, want)
 						}
@@ -82,11 +85,26 @@ func TestIntegrationSurveyPipelines(t *testing.T) {
 	w, g := buildMeta(t, 4, edges, ygm.Options{})
 	defer w.Close()
 
-	count1 := Count(g, Options{Mode: PushPull})
-	verts, _ := LocalVertexCounts(g, Options{Mode: PushOnly})
-	edgesC, _ := LocalEdgeCounts(g, Options{Mode: PushPull})
-	cs, _ := ClusteringCoefficients(g, Options{})
-	count2 := Count(g, Options{Mode: PushOnly})
+	count1, err := Run(g, Options{Mode: PushPull}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verts map[uint64]uint64
+	if _, err := Run(g, Options{Mode: PushOnly}, nil, VertexCountAnalysis[uint64, uint64]().Bind(&verts)); err != nil {
+		t.Fatal(err)
+	}
+	var edgesC map[EdgeKey]uint64
+	if _, err := Run(g, Options{Mode: PushPull}, nil, EdgeCountAnalysis[uint64, uint64]().Bind(&edgesC)); err != nil {
+		t.Fatal(err)
+	}
+	var cs ClusteringAccum
+	if _, err := Run(g, Options{}, nil, ClusteringAnalysis(g).Bind(&cs)); err != nil {
+		t.Fatal(err)
+	}
+	count2, err := Run(g, Options{Mode: PushOnly}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if count1.Triangles != count2.Triangles {
 		t.Errorf("counts drifted across surveys: %d vs %d", count1.Triangles, count2.Triangles)
@@ -101,7 +119,7 @@ func TestIntegrationSurveyPipelines(t *testing.T) {
 	if vsum != 3*count1.Triangles || esum != 3*count1.Triangles {
 		t.Errorf("participation sums: vertices %d, edges %d, want %d", vsum, esum, 3*count1.Triangles)
 	}
-	if cs.Triangles != count1.Triangles {
-		t.Errorf("clustering triangles = %d", cs.Triangles)
+	if cs.Stats.Triangles != count1.Triangles {
+		t.Errorf("clustering triangles = %d", cs.Stats.Triangles)
 	}
 }

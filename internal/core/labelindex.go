@@ -1,8 +1,6 @@
 package core
 
 import (
-	"tripoll/internal/graph"
-	"tripoll/internal/serialize"
 	"tripoll/internal/ygm"
 )
 
@@ -48,17 +46,4 @@ func LabelIndexAnalysis[VM comparable, EM any]() Analysis[VM, EM, LabelIndex[VM]
 			return a
 		},
 	}
-}
-
-// BuildLabelIndex surveys the graph once, producing the labeled triangle
-// index. labelCodec is unused now that accumulation is rank-local; the
-// parameter is retained for source compatibility.
-//
-// Deprecated: use Run with LabelIndexAnalysis, which fuses with other
-// analyses in one traversal and needs no codec.
-func BuildLabelIndex[VM comparable, EM any](g *graph.DODGr[VM, EM], opts Options, labelCodec serialize.Codec[VM]) (LabelIndex[VM], Result) {
-	_ = labelCodec
-	var ix LabelIndex[VM]
-	res := mustResult(Run(g, opts, nil, LabelIndexAnalysis[VM, EM]().Bind(&ix)))
-	return ix, res
 }

@@ -43,7 +43,11 @@ func TestLabelIndexSmall(t *testing.T) {
 	// Bowtie: triangles (0,1,2) and (2,3,4); labels are id%3.
 	w, g := buildLabeled(t, 2, bowtie)
 	defer w.Close()
-	ix, res := BuildLabelIndex(g, Options{}, serialize.Uint64Codec())
+	var ix LabelIndex[uint64]
+	res, err := Run(g, Options{}, nil, LabelIndexAnalysis[uint64, serialize.Unit]().Bind(&ix))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 2 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}
@@ -82,7 +86,10 @@ func TestLabelIndexMatchesSerial(t *testing.T) {
 	}
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildLabeled(t, 3, edges)
-		ix, _ := BuildLabelIndex(g, Options{Mode: mode}, serialize.Uint64Codec())
+		var ix LabelIndex[uint64]
+		if _, err := Run(g, Options{Mode: mode}, nil, LabelIndexAnalysis[uint64, serialize.Unit]().Bind(&ix)); err != nil {
+			t.Fatal(err)
+		}
 		if len(ix) != len(want) {
 			t.Fatalf("mode %v: %d buckets, want %d", mode, len(ix), len(want))
 		}
@@ -116,7 +123,11 @@ func TestLabelIndexStringLabels(t *testing.T) {
 			g = gg
 		}
 	})
-	ix, res := BuildLabelIndex(g, Options{}, serialize.StringCodec())
+	var ix LabelIndex[string]
+	res, err := Run(g, Options{}, nil, LabelIndexAnalysis[string, serialize.Unit]().Bind(&ix))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 4 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}

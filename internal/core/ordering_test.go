@@ -132,12 +132,16 @@ func TestResultRecordsOrdering(t *testing.T) {
 	edges := [][2]uint64{{0, 1}, {1, 2}, {0, 2}}
 	wDeg, gDeg := buildMetaOrdered(t, 2, edges, graph.OrderDegree)
 	defer wDeg.Close()
-	if res := Count(gDeg, Options{}); res.Ordering != "degree" {
+	if res, err := Run(gDeg, Options{}, nil); err != nil {
+		t.Fatal(err)
+	} else if res.Ordering != "degree" {
 		t.Errorf("Result.Ordering = %q, want degree", res.Ordering)
 	}
 	wDgn, gDgn := buildMetaOrdered(t, 2, edges, graph.OrderDegeneracy)
 	defer wDgn.Close()
-	if res := Count(gDgn, Options{}); res.Ordering != "degeneracy" {
+	if res, err := Run(gDgn, Options{}, nil); err != nil {
+		t.Fatal(err)
+	} else if res.Ordering != "degeneracy" {
 		t.Errorf("Result.Ordering = %q, want degeneracy", res.Ordering)
 	}
 }

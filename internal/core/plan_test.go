@@ -127,7 +127,7 @@ func TestNewPlannedSurveyRejectsInvalidPlan(t *testing.T) {
 func TestEmptyWindowSendsNothing(t *testing.T) {
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildMeta(t, 3, k5, ygm.Options{})
-		res, err := WindowedCount(g, TemporalPlan().Window(10, 5), Options{Mode: mode})
+		res, err := Run(g, Options{Mode: mode}, TemporalPlan().Window(10, 5))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -163,7 +163,7 @@ func TestDeltaZeroKeepsSimultaneousTriangles(t *testing.T) {
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w := ygm.MustWorld(3, ygm.Options{})
 		g := buildWithTimes(t, w, edges, func(lo, hi uint64) uint64 { return times[[2]uint64{lo, hi}] })
-		res, err := WindowedCount(g, TemporalPlan().CloseWithin(0), Options{Mode: mode})
+		res, err := Run(g, Options{Mode: mode}, TemporalPlan().CloseWithin(0))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"tripoll/internal/container"
 	"tripoll/internal/gen"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
@@ -244,33 +243,32 @@ func TestWindowedClosureTimesByteIdentical(t *testing.T) {
 		})
 
 		plan := TemporalPlan().CloseWithin(1 << 10)
-		joint, res, err := WindowedClosureTimes(g, plan, Options{Mode: mode})
+		var joint *stats.Joint2D
+		res, err := Run(g, Options{Mode: mode}, plan, ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 
-		// Post-filter baseline: the unplanned survey feeding the same
-		// counter, keeping only MatchEdges triangles.
-		codec := serialize.PairCodec(serialize.Int64Codec(), serialize.Int64Codec())
-		counter := container.NewCounter[TimePair](w, codec, container.CounterOptions{})
+		// Post-filter baseline: the unplanned survey feeding per-rank
+		// maps, keeping only MatchEdges triangles.
+		per := make([]map[TimePair]uint64, w.Size())
+		for i := range per {
+			per[i] = map[TimePair]uint64{}
+		}
 		s := NewSurvey(g, Options{Mode: mode}, func(r *ygm.Rank, tr *Triangle[serialize.Unit, uint64]) {
 			if !plan.MatchEdges(tr.MetaPQ, tr.MetaPR, tr.MetaQR) {
 				return
 			}
 			t1, t2, t3 := sort3(tr.MetaPQ, tr.MetaPR, tr.MetaQR)
-			counter.Inc(r, TimePair{First: int64(stats.CeilLog2(t2 - t1)), Second: int64(stats.CeilLog2(t3 - t1))})
+			per[r.ID()][TimePair{First: int64(stats.CeilLog2(t2 - t1)), Second: int64(stats.CeilLog2(t3 - t1))}]++
 		})
 		baseRes := s.Run()
 		ref := stats.NewJoint2D()
-		w.Parallel(func(r *ygm.Rank) {
-			counter.Barrier(r)
-			m := counter.Gather(r)
-			if r.ID() == 0 {
-				for k, c := range m {
-					ref.Add(int(k.First), int(k.Second), c)
-				}
+		for _, m := range per {
+			for k, c := range m {
+				ref.Add(int(k.First), int(k.Second), c)
 			}
-		})
+		}
 
 		gotOut := joint.Render("closure", "open", "close")
 		refOut := ref.Render("closure", "open", "close")
@@ -302,11 +300,14 @@ func TestWindowedMaxEdgeLabelEquivalence(t *testing.T) {
 	keep := func(em uint64) bool { return em%5 != 0 }
 	plan := NewPlan[uint64]().WhereEdge(keep)
 
-	got, res, err := WindowedMaxEdgeLabelDistribution(g, plan, Options{})
+	var got, want map[uint64]uint64
+	res, err := Run(g, Options{}, plan, MaxEdgeLabelAnalysis[uint64](true).Bind(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := MaxEdgeLabelDistribution(g, Options{})
+	if _, err := Run(g, Options{}, nil, MaxEdgeLabelAnalysis[uint64](true).Bind(&want)); err != nil {
+		t.Fatal(err)
+	}
 	// Rebuild the expectation by re-surveying with a post-filter callback.
 	refCounter := map[uint64]uint64{}
 	per := make([]map[uint64]uint64, 3)

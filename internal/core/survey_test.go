@@ -10,6 +10,7 @@ import (
 	"tripoll/internal/baseline"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
+	"tripoll/internal/stats"
 	"tripoll/internal/ygm"
 )
 
@@ -80,7 +81,10 @@ func TestCountKnownGraphs(t *testing.T) {
 		for _, mode := range []Mode{PushOnly, PushPull} {
 			for _, nranks := range []int{1, 2, 4} {
 				w, g := buildMeta(t, nranks, c.edges, ygm.Options{})
-				res := Count(g, Options{Mode: mode})
+				res, err := Run(g, Options{Mode: mode}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if res.Triangles != c.want {
 					t.Errorf("%s/%v/%d ranks: count = %d, want %d", c.name, mode, nranks, res.Triangles, c.want)
 				}
@@ -102,7 +106,10 @@ func TestCountAgainstSerialBaseline(t *testing.T) {
 		want := baseline.SerialCount(edges)
 		for _, mode := range []Mode{PushOnly, PushPull} {
 			w, g := buildMeta(t, 3, edges, ygm.Options{})
-			res := Count(g, Options{Mode: mode})
+			res, err := Run(g, Options{Mode: mode}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.Triangles != want {
 				t.Errorf("trial %d mode %v: count = %d, want %d", trial, mode, res.Triangles, want)
 			}
@@ -212,8 +219,14 @@ func TestPushPullEqualsPushOnlyProperty(t *testing.T) {
 		want := baseline.SerialCount(edges)
 		w, g := buildMeta(t, nranks, edges, ygm.Options{})
 		defer w.Close()
-		a := Count(g, Options{Mode: PushOnly})
-		b := Count(g, Options{Mode: PushPull})
+		a, err := Run(g, Options{Mode: PushOnly}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(g, Options{Mode: PushPull}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return a.Triangles == want && b.Triangles == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
@@ -232,7 +245,10 @@ func TestPullFactorExtremes(t *testing.T) {
 	grants := map[float64]uint64{}
 	for _, pf := range []float64{1e-9, 0.5, 1.0, 2.0, 1e9} {
 		w, g := buildMeta(t, 3, edges, ygm.Options{})
-		res := Count(g, Options{Mode: PushPull, PullFactor: pf})
+		res, err := Run(g, Options{Mode: PushPull, PullFactor: pf}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Triangles != want {
 			t.Errorf("PullFactor %g: count = %d, want %d", pf, res.Triangles, want)
 		}
@@ -266,12 +282,18 @@ func TestPullFactorClampsNonPositive(t *testing.T) {
 	want := baseline.SerialCount(edges)
 	w, g := buildMeta(t, 3, edges, ygm.Options{})
 	defer w.Close()
-	ref := Count(g, Options{Mode: PushPull, PullFactor: 1.0})
+	ref, err := Run(g, Options{Mode: PushPull, PullFactor: 1.0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ref.Triangles != want {
 		t.Fatalf("reference count = %d, want %d", ref.Triangles, want)
 	}
 	for _, pf := range []float64{-1.0, -1e9, 0, math.NaN()} {
-		res := Count(g, Options{Mode: PushPull, PullFactor: pf})
+		res, err := Run(g, Options{Mode: PushPull, PullFactor: pf}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Triangles != want {
 			t.Errorf("PullFactor %v: count = %d, want %d", pf, res.Triangles, want)
 		}
@@ -287,7 +309,10 @@ func TestSurveyOverTCPTransport(t *testing.T) {
 	w, g := buildMeta(t, 3, k5, ygm.Options{Transport: ygm.TransportTCP})
 	defer w.Close()
 	for _, mode := range []Mode{PushOnly, PushPull} {
-		res := Count(g, Options{Mode: mode})
+		res, err := Run(g, Options{Mode: mode}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Triangles != want {
 			t.Errorf("tcp/%v: count = %d, want %d", mode, res.Triangles, want)
 		}
@@ -314,7 +339,10 @@ func TestResultPhaseAccounting(t *testing.T) {
 	w, g := buildMeta(t, 4, edges, ygm.Options{})
 	defer w.Close()
 
-	po := Count(g, Options{Mode: PushOnly})
+	po, err := Run(g, Options{Mode: PushOnly}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if po.Push.Bytes == 0 || po.Push.Messages == 0 {
 		t.Errorf("push-only: empty push phase stats: %+v", po.Push)
 	}
@@ -325,7 +353,10 @@ func TestResultPhaseAccounting(t *testing.T) {
 		t.Error("no wedge checks recorded")
 	}
 
-	pp := Count(g, Options{Mode: PushPull})
+	pp, err := Run(g, Options{Mode: PushPull}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pp.DryRun.Bytes == 0 {
 		t.Error("push-pull: dry run sent no bytes")
 	}
@@ -346,7 +377,11 @@ func TestLocalVertexCounts(t *testing.T) {
 	want := baseline.SerialLocalCounts(edges)
 	w, g := buildMeta(t, 3, edges, ygm.Options{})
 	defer w.Close()
-	got, res := LocalVertexCounts(g, Options{})
+	var got map[uint64]uint64
+	res, err := Run(g, Options{}, nil, VertexCountAnalysis[uint64, uint64]().Bind(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != baseline.SerialCount(edges) {
 		t.Errorf("count = %d", res.Triangles)
 	}
@@ -363,7 +398,11 @@ func TestLocalVertexCounts(t *testing.T) {
 func TestClusteringCoefficientsK4(t *testing.T) {
 	w, g := buildMeta(t, 2, k4, ygm.Options{})
 	defer w.Close()
-	cs, _ := ClusteringCoefficients(g, Options{})
+	var acc ClusteringAccum
+	if _, err := Run(g, Options{}, nil, ClusteringAnalysis(g).Bind(&acc)); err != nil {
+		t.Fatal(err)
+	}
+	cs := acc.Stats
 	if cs.Average != 1.0 {
 		t.Errorf("K4 average cc = %v, want 1", cs.Average)
 	}
@@ -378,7 +417,11 @@ func TestClusteringCoefficientsK4(t *testing.T) {
 func TestClusteringCoefficientsBowtie(t *testing.T) {
 	w, g := buildMeta(t, 2, bowtie, ygm.Options{})
 	defer w.Close()
-	cs, _ := ClusteringCoefficients(g, Options{})
+	var acc ClusteringAccum
+	if _, err := Run(g, Options{}, nil, ClusteringAnalysis(g).Bind(&acc)); err != nil {
+		t.Fatal(err)
+	}
+	cs := acc.Stats
 	// Bowtie: center vertex 2 has d=4, t=2 → cc = 2·2/(4·3) = 1/3; the four
 	// outer vertices have d=2, t=1 → cc = 1. Average = (4 + 1/3)/5 = 13/15.
 	want := 13.0 / 15.0
@@ -397,7 +440,11 @@ func TestMaxEdgeLabelDistribution(t *testing.T) {
 	// Δ(0,1,2) = edgeMeta(1,2); of Δ(2,3,4) = edgeMeta(3,4).
 	w, g := buildMeta(t, 3, bowtie, ygm.Options{})
 	defer w.Close()
-	dist, res := MaxEdgeLabelDistribution(g, Options{})
+	var dist map[uint64]uint64
+	res, err := Run(g, Options{}, nil, MaxEdgeLabelAnalysis[uint64](true).Bind(&dist))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 2 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -426,7 +473,11 @@ func TestDegreeTriplesSurvey(t *testing.T) {
 			g = gg
 		}
 	})
-	dist, res := DegreeTriples(g, Options{})
+	var dist map[DegreeTriple]uint64
+	res, err := Run(g, Options{}, nil, DegreeTripleAnalysis[serialize.Unit]().Bind(&dist))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 4 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -458,7 +509,11 @@ func TestClosureTimes(t *testing.T) {
 			g = gg
 		}
 	})
-	joint, res := ClosureTimes(g, Options{})
+	var joint *stats.Joint2D
+	res, err := Run(g, Options{}, nil, ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 2 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -483,7 +538,9 @@ func TestEmptyGraphSurvey(t *testing.T) {
 	w, g := buildMeta(t, 2, [][2]uint64{{1, 2}}, ygm.Options{})
 	defer w.Close()
 	for _, mode := range []Mode{PushOnly, PushPull} {
-		if res := Count(g, Options{Mode: mode}); res.Triangles != 0 {
+		if res, err := Run(g, Options{Mode: mode}, nil); err != nil {
+			t.Fatal(err)
+		} else if res.Triangles != 0 {
 			t.Errorf("single edge graph: %d triangles", res.Triangles)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"tripoll/internal/graph"
 	"tripoll/internal/ygm"
 )
 
@@ -55,34 +54,4 @@ func TemporalSweepAnalysis[VM any](deltas []uint64) Analysis[VM, uint64, []uint6
 			return a
 		},
 	}
-}
-
-// TemporalWindowCount counts triangles whose three edge timestamps span at
-// most delta. Returns (within-window count, total triangles, survey
-// result).
-//
-// Deprecated: use Run with TemporalWindowAnalysis (or, to also prune the
-// communication, a plan with CloseWithin).
-func TemporalWindowCount[VM any](g *graph.DODGr[VM, uint64], delta uint64, opts Options) (within, total uint64, res Result) {
-	var w uint64
-	res = mustResult(Run(g, opts, nil, TemporalWindowAnalysis[VM](delta).Bind(&w)))
-	return w, res.Triangles, res
-}
-
-// TemporalWindowSweep evaluates several windows in one fused survey pass —
-// a single dry run/push/pull traversal covering every delta — returning
-// the within-window count per delta (deltas need not be sorted). The
-// returned Result reports that one traversal's phase stats;
-// Result.Analyses names the sweep.
-//
-// Deprecated: use Run with TemporalSweepAnalysis, which additionally fuses
-// with other analyses.
-func TemporalWindowSweep[VM any](g *graph.DODGr[VM, uint64], deltas []uint64, opts Options) (map[uint64]uint64, Result) {
-	var counts []uint64
-	res := mustResult(Run(g, opts, nil, TemporalSweepAnalysis[VM](deltas).Bind(&counts)))
-	out := make(map[uint64]uint64, len(deltas))
-	for i, d := range deltas {
-		out[d] = counts[i]
-	}
-	return out, res
 }

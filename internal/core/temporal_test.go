@@ -43,16 +43,24 @@ func TestTemporalWindowCountSmall(t *testing.T) {
 	}
 	w, g := buildTimestamped(t, 3, edges)
 	defer w.Close()
-	within, total, _ := TemporalWindowCount(g, 10, Options{})
-	if total != 2 || within != 1 {
-		t.Errorf("delta=10: within=%d total=%d", within, total)
+	var within uint64
+	res, err := Run(g, Options{}, nil, TemporalWindowAnalysis[serialize.Unit](10).Bind(&within))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Triangles != 2 || within != 1 {
+		t.Errorf("delta=10: within=%d total=%d", within, res.Triangles)
 	}
 	// The tight triangle spans exactly 10; delta 9 excludes it.
-	within, _, _ = TemporalWindowCount(g, 9, Options{})
+	if _, err := Run(g, Options{}, nil, TemporalWindowAnalysis[serialize.Unit](9).Bind(&within)); err != nil {
+		t.Fatal(err)
+	}
 	if within != 0 {
 		t.Errorf("delta=9: within=%d, want 0", within)
 	}
-	within, _, _ = TemporalWindowCount(g, 1000, Options{})
+	if _, err := Run(g, Options{}, nil, TemporalWindowAnalysis[serialize.Unit](1000).Bind(&within)); err != nil {
+		t.Fatal(err)
+	}
 	if within != 2 {
 		t.Errorf("delta=1000: within=%d, want 2", within)
 	}
@@ -66,23 +74,30 @@ func TestTemporalWindowSweepMonotone(t *testing.T) {
 	w, g := buildTimestamped(t, 4, edges)
 	defer w.Close()
 	deltas := []uint64{0, 100, 10_000, 1 << 40}
-	counts, res := TemporalWindowSweep(g, deltas, Options{})
-	if counts[1<<40] != res.Triangles {
-		t.Errorf("unbounded window %d != total %d", counts[1<<40], res.Triangles)
+	var counts []uint64
+	res, err := Run(g, Options{}, nil, TemporalSweepAnalysis[serialize.Unit](deltas).Bind(&counts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[3] != res.Triangles {
+		t.Errorf("unbounded window %d != total %d", counts[3], res.Triangles)
 	}
 	// Monotone in delta.
 	prev := uint64(0)
-	for _, d := range deltas {
-		if counts[d] < prev {
+	for i := range deltas {
+		if counts[i] < prev {
 			t.Errorf("window counts not monotone: %v", counts)
 		}
-		prev = counts[d]
+		prev = counts[i]
 	}
 	// Sweep agrees with individual windows.
-	for _, d := range deltas[:3] {
-		within, _, _ := TemporalWindowCount(g, d, Options{})
-		if within != counts[d] {
-			t.Errorf("sweep[%d] = %d, individual = %d", d, counts[d], within)
+	for i, d := range deltas[:3] {
+		var within uint64
+		if _, err := Run(g, Options{}, nil, TemporalWindowAnalysis[serialize.Unit](d).Bind(&within)); err != nil {
+			t.Fatal(err)
+		}
+		if within != counts[i] {
+			t.Errorf("sweep[%d] = %d, individual = %d", d, counts[i], within)
 		}
 	}
 }

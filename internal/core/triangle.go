@@ -18,8 +18,8 @@ type Triangle[VM, EM any] struct {
 // Callback is the user-defined survey operation executed once per triangle
 // (Alg. 1 line 10). It runs on the goroutine of the rank where the triangle
 // was identified — Rank(Q) when the wedge was pushed, Rank(P) when Q's
-// adjacency was pulled — so it may freely use rank-local state and
-// distributed containers, but must not call Barrier.
+// adjacency was pulled — so it may freely use rank-local state, but must
+// not call Barrier.
 type Callback[VM, EM any] func(r *ygm.Rank, t *Triangle[VM, EM])
 
 // Mode selects the survey algorithm.

@@ -59,17 +59,19 @@ func (c *Cluster) bcast(m *ctrlMsg) error {
 // and call the builder) — the workers enter theirs on receipt, feeding no
 // edges, and the ygm transport ships each edge to its owner rank.
 func (c *Cluster) Build(name string, spec BuildSpec) error {
+	if spec.Replicas > 1 {
+		return fmt.Errorf("dist: build %q: %d replicas requested, a graph has one copy", name, spec.Replicas)
+	}
 	return c.bcast(&ctrlMsg{Kind: kBuild, Graph: name, Build: spec})
 }
 
 // Traverse broadcasts one fused traversal (engine.Fanout). The caller runs
 // its side immediately after; the traversal's own collectives synchronize
-// the processes, so no acknowledgement round exists. replica selects the
-// copy of a replicated graph to traverse (0 for plain graphs).
-func (c *Cluster) Traverse(graph string, replica int, opts core.Options, specs []engine.Spec) error {
+// the processes, so no acknowledgement round exists.
+func (c *Cluster) Traverse(graph string, opts core.Options, specs []engine.Spec) error {
 	return c.bcast(&ctrlMsg{
 		Kind: kRun, Graph: graph,
-		Run: RunSpec{Mode: int(opts.Mode), PullFactor: opts.PullFactor, Replica: replica, Specs: specs},
+		Run: RunSpec{Mode: int(opts.Mode), PullFactor: opts.PullFactor, Specs: specs},
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tripoll/internal/baseline"
 	"tripoll/internal/engine"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
@@ -208,7 +209,10 @@ func TestCrossProcessEquivalence(t *testing.T) {
 
 // TestWorkerLeaveFailsJobsNotServer: after a worker drains out (SIGTERM
 // semantics), in-flight and new traversals fail with an error — but the
-// driver's engine survives, and cached answers keep being served.
+// driver's engine survives, and cached answers keep being served. Before
+// any of that, a build asking for more than one copy of the graph is
+// refused without reaching the workers, and the world still builds and
+// counts afterwards.
 func TestWorkerLeaveFailsJobsNotServer(t *testing.T) {
 	cl, wks := startCluster(t, 2, 1, tcpOpts())
 	hooks := Hooks[U, uint64]{
@@ -223,7 +227,10 @@ func TestWorkerLeaveFailsJobsNotServer(t *testing.T) {
 	go func() { served <- Serve(wks[0], hooks, stop) }()
 
 	edges := randomTemporalEdges(7, 24, 60)
-	if err := cl.Build("g", BuildSpec{Policy: "temporal"}); err != nil {
+	if err := cl.Build("g", BuildSpec{Policy: "temporal", Replicas: 2}); err == nil {
+		t.Fatal("Build with 2 replicas accepted")
+	}
+	if err := cl.Build("g", BuildSpec{Policy: "temporal", Replicas: 1}); err != nil {
 		t.Fatalf("Build broadcast: %v", err)
 	}
 	g := buildTemporalOrdered(cl.World(), edges, graph.OrderDegree)
@@ -246,6 +253,13 @@ func TestWorkerLeaveFailsJobsNotServer(t *testing.T) {
 	first, err := job.Wait(ctx)
 	if err != nil {
 		t.Fatalf("warm job: %v", err)
+	}
+	pairs := make([][2]uint64, len(edges))
+	for i, e := range edges {
+		pairs[i] = [2]uint64{e.U, e.V}
+	}
+	if want := baseline.SerialCount(pairs); first.Survey.Triangles != want {
+		t.Fatalf("count after the refused build = %d, serial reference %d", first.Survey.Triangles, want)
 	}
 
 	// Drain the worker out and wait for its departure to land.

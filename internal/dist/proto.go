@@ -32,7 +32,7 @@ const (
 	// rejected at join time with a typed error before any world state
 	// exists.
 	joinMagic    = "TPDZ"
-	protoVersion = 2 // v2: mutation jobs (stream/ingest/advance/mutdone/mat) and graph replicas
+	protoVersion = 3 // v2: mutation jobs (stream/ingest/advance/mutdone/mat); v3: no graph replicas
 
 	// maxCtrlFrame bounds a control frame. Graph shards never cross the
 	// control plane (the data mesh carries them); what does is specs,
@@ -146,10 +146,8 @@ type BuildSpec struct {
 	// MergeEdgeMeta reduction (e.g. "temporal" = uint64 timestamps merged
 	// by min, the §5.2 reduction).
 	Policy string
-	// Replica/Replicas, when Replicas > 1, build one copy of a replicated
-	// graph partitioned over the rank span [Replica*(n/Replicas), ...)
-	// (graph.SpanPartition); the driver sends one build job per replica.
-	Replica  int
+	// Replicas must be 0 or 1: a graph has one copy. Cluster.Build
+	// rejects anything else before it broadcasts.
 	Replicas int
 }
 
@@ -158,10 +156,7 @@ type BuildSpec struct {
 type RunSpec struct {
 	Mode       int
 	PullFactor float64
-	// Replica selects which copy of a replicated graph to traverse; 0 for
-	// plain graphs.
-	Replica int
-	Specs   []engine.Spec
+	Specs      []engine.Spec
 }
 
 // wireVal wraps one collective slot for gob: encoding/gob refuses nil

@@ -89,8 +89,6 @@ type Hooks[VM, EM any] struct {
 	Timestamps func(EM) uint64
 	// Build runs this process's side of a collective graph build for the
 	// given spec, feeding no edges (the driver's ranks feed all of them).
-	// For replicated graphs (spec.Replicas > 1) it must partition over the
-	// replica's rank span exactly as the driver does (graph.SpanPartition).
 	Build func(w *ygm.World, name string, spec BuildSpec) (*graph.DODGr[VM, EM], error)
 	// OpenStream runs this process's side of a collective stream open
 	// (stream job) over the built graph g, mapping the policy back to the
@@ -113,10 +111,11 @@ type Hooks[VM, EM any] struct {
 // point between jobs covers them too: an in-flight mutation completes —
 // collective apply, acknowledgement and all — before the worker leaves.
 func Serve[VM, EM any](wk *Worker, h Hooks[VM, EM], stop <-chan struct{}) error {
-	// graphs holds one slot per replica (plain graphs are a single slot);
-	// streams holds the worker's side of every open durable stream, and
-	// applied counts the mutations this worker has acknowledged.
-	graphs := make(map[string][]*graph.DODGr[VM, EM])
+	// graphs holds the worker's side of every built graph (a stream's
+	// latest snapshot once it has materialized), streams its side of every
+	// open durable stream, and applied counts the mutations this worker has
+	// acknowledged.
+	graphs := make(map[string]*graph.DODGr[VM, EM])
 	streams := make(map[string]*core.Stream[VM, EM])
 	var applied uint64
 	for {
@@ -147,30 +146,25 @@ func Serve[VM, EM any](wk *Worker, h Hooks[VM, EM], stop <-chan struct{}) error 
 				if err != nil {
 					return fmt.Errorf("dist: build job %q: %w", m.Graph, err)
 				}
-				slots := graphs[m.Graph]
-				if n := max(m.Build.Replicas, 1); len(slots) < n {
-					slots = append(slots, make([]*graph.DODGr[VM, EM], n-len(slots))...)
-				}
-				slots[m.Build.Replica] = g
-				graphs[m.Graph] = slots
+				graphs[m.Graph] = g
 			case kRun:
-				slots := graphs[m.Graph]
-				if m.Run.Replica < 0 || m.Run.Replica >= len(slots) || slots[m.Run.Replica] == nil {
-					return fmt.Errorf("dist: run job names unbuilt graph %q (replica %d)", m.Graph, m.Run.Replica)
+				g := graphs[m.Graph]
+				if g == nil {
+					return fmt.Errorf("dist: run job names unbuilt graph %q", m.Graph)
 				}
 				opts := core.Options{Mode: core.Mode(m.Run.Mode), PullFactor: m.Run.PullFactor}
-				if _, _, err := engine.ExecuteFused(h.Registry, h.Timestamps, slots[m.Run.Replica], opts, m.Run.Specs); err != nil {
+				if _, _, err := engine.ExecuteFused(h.Registry, h.Timestamps, g, opts, m.Run.Specs); err != nil {
 					return fmt.Errorf("dist: traversal job: %w", err)
 				}
 			case kStream:
 				if h.OpenStream == nil {
 					return fmt.Errorf("dist: stream job %q but the worker has no OpenStream hook", m.Graph)
 				}
-				slots := graphs[m.Graph]
-				if len(slots) == 0 || slots[0] == nil {
+				g := graphs[m.Graph]
+				if g == nil {
 					return fmt.Errorf("dist: stream job names unbuilt graph %q", m.Graph)
 				}
-				s, err := h.OpenStream(slots[0], m.Policy)
+				s, err := h.OpenStream(g, m.Policy)
 				if err != nil {
 					return fmt.Errorf("dist: stream job %q: %w", m.Graph, err)
 				}
@@ -185,7 +179,7 @@ func Serve[VM, EM any](wk *Worker, h Hooks[VM, EM], stop <-chan struct{}) error 
 				// own apply returns. A failed apply is acknowledged with
 				// the error (so the driver fails the job rather than time
 				// out) and then fatal here: the replicas have diverged.
-				err := applyMutation(s, graphs[m.Graph][0], m)
+				err := applyMutation(s, graphs[m.Graph], m)
 				ack := &ctrlMsg{Kind: kMutDone, Graph: m.Graph, Epoch: m.Epoch}
 				if err != nil {
 					ack.Err = err.Error()
@@ -204,7 +198,7 @@ func Serve[VM, EM any](wk *Worker, h Hooks[VM, EM], stop <-chan struct{}) error 
 				if !open {
 					return fmt.Errorf("dist: materialize job names unopened stream %q", m.Graph)
 				}
-				graphs[m.Graph][0] = s.Materialize()
+				graphs[m.Graph] = s.Materialize()
 			case kStop:
 				return wk.leave()
 			default:

@@ -255,13 +255,6 @@ type graphEntry[VM, EM any] struct {
 	// asked first for every query on this graph: analyses it handles are
 	// answered without materializing or traversing.
 	index IndexServer
-
-	// replicas holds the copies of a read-only replicated graph
-	// (RegisterReplicated), each partitioned over its own rank span; rr is
-	// the round-robin cursor snapshot() ticks to spread query groups across
-	// them. g is replicas[0] so the entry also behaves as a plain graph.
-	replicas []*graph.DODGr[VM, EM]
-	rr       uint64
 }
 
 // cacheKey is the result cache's identity: epoch-keyed, so a mutation
@@ -334,27 +327,6 @@ func (e *Engine[VM, EM]) RegisterStream(name string, s *core.Stream[VM, EM]) err
 		return fmt.Errorf("engine: RegisterStream(%q): nil stream", name)
 	}
 	return e.register(&graphEntry[VM, EM]{name: name, stream: s, stale: true})
-}
-
-// RegisterReplicated adds a read-only graph under name with multiple
-// replicas: copies of the same logical graph, each partitioned over its
-// own rank span (graph.SpanPartition), all byte-identical in content. The
-// scheduler serves each admitted query group from the next replica round-
-// robin, so coalesced read traffic spreads across the rank spans instead
-// of always traversing the same shard group. Replicated graphs stay at
-// epoch 0 and cannot be mutated; their cached answers are shared across
-// replicas (analysis values are partition-independent, property-tested by
-// the cross-process equivalence suite).
-func (e *Engine[VM, EM]) RegisterReplicated(name string, replicas []*graph.DODGr[VM, EM]) error {
-	if len(replicas) == 0 {
-		return fmt.Errorf("engine: RegisterReplicated(%q): no replicas", name)
-	}
-	for i, g := range replicas {
-		if g == nil {
-			return fmt.Errorf("engine: RegisterReplicated(%q): nil replica %d", name, i)
-		}
-	}
-	return e.register(&graphEntry[VM, EM]{name: name, g: replicas[0], replicas: replicas})
 }
 
 func (e *Engine[VM, EM]) register(entry *graphEntry[VM, EM]) error {
@@ -822,7 +794,7 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 		}
 	}
 
-	g, epoch, replica, err := e.snapshot(name)
+	g, epoch, err := e.snapshot(name)
 	if err != nil {
 		for _, j := range jobs {
 			e.fail(j, err)
@@ -917,7 +889,7 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 		for i, s := range live {
 			specs[i] = s.leader.spec
 		}
-		if err := e.opts.Fanout.Traverse(name, replica, opts, specs); err != nil {
+		if err := e.opts.Fanout.Traverse(name, opts, specs); err != nil {
 			for _, s := range live {
 				e.fail(s.leader, err)
 				for _, f := range s.followers {
@@ -1019,22 +991,14 @@ func Once[VM, EM any](g *graph.DODGr[VM, EM], opts core.Options, plan *core.Plan
 	return e.execute(g, opts, plan, analyses)
 }
 
-// snapshot returns the queryable graph, epoch and replica index for name,
-// materializing a stale stream first (lazily, once per epoch). For
-// replicated graphs it ticks the round-robin cursor, so consecutive query
-// groups traverse different replicas.
-func (e *Engine[VM, EM]) snapshot(name string) (*graph.DODGr[VM, EM], uint64, int, error) {
+// snapshot returns the queryable graph and epoch for name, materializing a
+// stale stream first (lazily, once per epoch).
+func (e *Engine[VM, EM]) snapshot(name string) (*graph.DODGr[VM, EM], uint64, error) {
 	e.mu.Lock()
 	entry, ok := e.graphs[name]
 	if !ok {
 		e.mu.Unlock()
-		return nil, 0, 0, fmt.Errorf("engine: unknown graph %q", name)
-	}
-	replica := 0
-	if len(entry.replicas) > 1 {
-		replica = int(entry.rr % uint64(len(entry.replicas)))
-		entry.rr++
-		entry.g = entry.replicas[replica]
+		return nil, 0, fmt.Errorf("engine: unknown graph %q", name)
 	}
 	g, epoch, stale, stream := entry.g, entry.epoch, entry.stale, entry.stream
 	e.mu.Unlock()
@@ -1046,7 +1010,7 @@ func (e *Engine[VM, EM]) snapshot(name string) (*graph.DODGr[VM, EM], uint64, in
 		var err error
 		g, err = e.materialize(name, stream)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		e.mu.Lock()
 		entry.g = g
@@ -1054,9 +1018,9 @@ func (e *Engine[VM, EM]) snapshot(name string) (*graph.DODGr[VM, EM], uint64, in
 		e.mu.Unlock()
 	}
 	if g == nil {
-		return nil, 0, 0, fmt.Errorf("engine: graph %q has no queryable snapshot", name)
+		return nil, 0, fmt.Errorf("engine: graph %q has no queryable snapshot", name)
 	}
-	return g, epoch, replica, nil
+	return g, epoch, nil
 }
 
 // materialize runs a stream's collective Materialize, broadcasting it to

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -207,7 +208,7 @@ func TemporalRegistry() *Registry[serialize.Unit, uint64] {
 	r.RegisterInfo(AnalysisInfo{
 		Name: "sweep", Doc: "triangle counts for each close-within δ in one traversal",
 		Args: []ArgSpec{
-			{Name: "deltas", Type: "[]uint", Doc: "δ thresholds to count under", Required: true},
+			{Name: "deltas", Type: "[]uint", Doc: "δ thresholds to count under (at most 64)", Required: true},
 		},
 		Result: "[]uint64",
 	}, func(_ *graph.DODGr[U, uint64], spec Spec) (Instance[U, uint64], error) {
@@ -218,7 +219,10 @@ func TemporalRegistry() *Registry[serialize.Unit, uint64] {
 			return Instance[U, uint64]{}, err
 		}
 		if len(args.Deltas) == 0 {
-			return Instance[U, uint64]{}, fmt.Errorf(`engine: analysis "sweep" needs args {"deltas":[...]}`)
+			return Instance[U, uint64]{}, fmt.Errorf(`%w: needs args {"deltas":[...]}`, ErrBadSweepArgs)
+		}
+		if len(args.Deltas) > MaxSweepDeltas {
+			return Instance[U, uint64]{}, fmt.Errorf("%w: %d deltas, at most %d allowed", ErrBadSweepArgs, len(args.Deltas), MaxSweepDeltas)
 		}
 		out := new([]uint64)
 		return Instance[U, uint64]{
@@ -271,6 +275,17 @@ func TemporalRegistry() *Registry[serialize.Unit, uint64] {
 	})
 	return r
 }
+
+// MaxSweepDeltas bounds the sweep analysis's deltas, as truss.MaxSpans
+// bounds spantruss's spans: every triangle tests every delta on the
+// scheduler's traversal, so a long list holds the scheduler for every
+// other client.
+const MaxSweepDeltas = 64
+
+// ErrBadSweepArgs is wrapped by every rejection of sweep arguments: no
+// deltas, or more than MaxSweepDeltas. tripolld answers it with 400 Bad
+// Request.
+var ErrBadSweepArgs = errors.New("engine: bad sweep args")
 
 // specWindow reads the spec's closed query window; absent bounds widen to
 // the whole axis. It must mirror compilePlan's From/Until handling — the

@@ -26,11 +26,9 @@ import (
 // admission (cache hits and dedup already resolved), immediately before
 // the driver enters the traversal's parallel regions; it must deliver the
 // work item to every worker and return without waiting for the traversal
-// (the traversal's own collectives synchronize the processes). replica
-// selects which copy of a replicated graph (RegisterReplicated) the
-// traversal reads; 0 for plain graphs.
+// (the traversal's own collectives synchronize the processes).
 type Fanout interface {
-	Traverse(graph string, replica int, opts core.Options, specs []Spec) error
+	Traverse(graph string, opts core.Options, specs []Spec) error
 }
 
 // ExecuteFused compiles and runs one fused traversal from its wire form:

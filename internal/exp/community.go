@@ -1,52 +1,52 @@
-// Package community implements single-machine community detection for the
-// post-processing step of the Fig. 8 FQDN analysis: the paper orders the
-// hub-conditioned FQDN×FQDN distribution "based on communities identified
-// by the Louvain method". Louvain (modularity optimization with graph
-// aggregation) is provided along with label propagation as a cheaper
-// alternative.
-package community
+package exp
 
 import (
 	"math/rand"
 )
 
-// WEdge is a weighted half-edge.
-type WEdge struct {
+// Single-machine community detection for the post-processing step of the
+// Fig. 8 FQDN analysis: the paper orders the hub-conditioned FQDN×FQDN
+// distribution "based on communities identified by the Louvain method".
+// Louvain (modularity optimization with graph aggregation) is provided
+// along with label propagation as a cheaper alternative.
+
+// wEdge is a weighted half-edge.
+type wEdge struct {
 	To     int
 	Weight float64
 }
 
-// Graph is a small weighted undirected multigraph on nodes 0..N-1.
-type Graph struct {
+// commGraph is a small weighted undirected multigraph on nodes 0..N-1.
+type commGraph struct {
 	n    int
-	adj  [][]WEdge
+	adj  [][]wEdge
 	self []float64 // self-loop weight (appears once)
 	m2   float64   // 2m: total incident weight, self-loops counted twice
 }
 
-// NewGraph creates a graph with n nodes and no edges.
-func NewGraph(n int) *Graph {
-	return &Graph{n: n, adj: make([][]WEdge, n), self: make([]float64, n)}
+// newCommGraph creates a graph with n nodes and no edges.
+func newCommGraph(n int) *commGraph {
+	return &commGraph{n: n, adj: make([][]wEdge, n), self: make([]float64, n)}
 }
 
 // N returns the node count.
-func (g *Graph) N() int { return g.n }
+func (g *commGraph) N() int { return g.n }
 
 // AddEdge adds an undirected edge of the given weight; u == v adds a
 // self-loop.
-func (g *Graph) AddEdge(u, v int, w float64) {
+func (g *commGraph) AddEdge(u, v int, w float64) {
 	if u == v {
 		g.self[u] += w
 		g.m2 += 2 * w
 		return
 	}
-	g.adj[u] = append(g.adj[u], WEdge{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], WEdge{To: u, Weight: w})
+	g.adj[u] = append(g.adj[u], wEdge{To: v, Weight: w})
+	g.adj[v] = append(g.adj[v], wEdge{To: u, Weight: w})
 	g.m2 += 2 * w
 }
 
 // strength returns the total weight incident to node u (self-loops twice).
-func (g *Graph) strength(u int) float64 {
+func (g *commGraph) strength(u int) float64 {
 	s := 2 * g.self[u]
 	for _, e := range g.adj[u] {
 		s += e.Weight
@@ -54,8 +54,8 @@ func (g *Graph) strength(u int) float64 {
 	return s
 }
 
-// Modularity computes Newman modularity Q of a node→community assignment.
-func Modularity(g *Graph, comm []int) float64 {
+// modularity computes Newman modularity Q of a node→community assignment.
+func modularity(g *commGraph, comm []int) float64 {
 	if g.m2 == 0 {
 		return 0
 	}
@@ -77,11 +77,11 @@ func Modularity(g *Graph, comm []int) float64 {
 	return q
 }
 
-// Louvain runs the two-phase Louvain method: greedy local moving to a local
+// louvain runs the two-phase Louvain method: greedy local moving to a local
 // modularity optimum, then aggregation into a community graph, repeated
 // until no level improves. Returns the community id of every original node
 // (ids are dense but arbitrary). Deterministic in seed.
-func Louvain(g *Graph, seed int64) []int {
+func louvain(g *commGraph, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	// node→community through all levels so far.
 	assign := make([]int, g.n)
@@ -113,7 +113,7 @@ func Louvain(g *Graph, seed int64) []int {
 
 // localMove is Louvain phase 1: repeatedly move nodes to the neighboring
 // community with the highest positive modularity gain.
-func localMove(g *Graph, rng *rand.Rand) (comm []int, movedAny bool) {
+func localMove(g *commGraph, rng *rand.Rand) (comm []int, movedAny bool) {
 	comm = make([]int, g.n)
 	tot := make([]float64, g.n)
 	for i := range comm {
@@ -158,14 +158,14 @@ func localMove(g *Graph, rng *rand.Rand) (comm []int, movedAny bool) {
 }
 
 // aggregate is Louvain phase 2: collapse each community into a super-node.
-func aggregate(g *Graph, comm []int) *Graph {
+func aggregate(g *commGraph, comm []int) *commGraph {
 	nc := 0
 	for _, c := range comm {
 		if c+1 > nc {
 			nc = c + 1
 		}
 	}
-	out := NewGraph(nc)
+	out := newCommGraph(nc)
 	type pair struct{ a, b int }
 	acc := map[pair]float64{}
 	for u := 0; u < g.n; u++ {
@@ -206,9 +206,9 @@ func renumber(comm []int) []int {
 	return out
 }
 
-// LabelPropagation assigns communities by iterative majority vote of
+// labelPropagation assigns communities by iterative majority vote of
 // neighbor labels — the cheap alternative ordering. Deterministic in seed.
-func LabelPropagation(g *Graph, seed int64, maxIters int) []int {
+func labelPropagation(g *commGraph, seed int64, maxIters int) []int {
 	rng := rand.New(rand.NewSource(seed))
 	label := make([]int, g.n)
 	for i := range label {

@@ -1,4 +1,4 @@
-package community
+package exp
 
 import (
 	"math/rand"
@@ -6,8 +6,8 @@ import (
 )
 
 // twoCliques builds two k-cliques joined by a single bridge edge.
-func twoCliques(k int) *Graph {
-	g := NewGraph(2 * k)
+func twoCliques(k int) *commGraph {
+	g := newCommGraph(2 * k)
 	for off := 0; off < 2; off++ {
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
@@ -20,8 +20,8 @@ func twoCliques(k int) *Graph {
 }
 
 // ringOfCliques builds r cliques of size k arranged in a ring.
-func ringOfCliques(r, k int) *Graph {
-	g := NewGraph(r * k)
+func ringOfCliques(r, k int) *commGraph {
+	g := newCommGraph(r * k)
 	for c := 0; c < r; c++ {
 		base := c * k
 		for i := 0; i < k; i++ {
@@ -39,7 +39,7 @@ func sameCommunity(comm []int, a, b int) bool { return comm[a] == comm[b] }
 
 func TestLouvainSeparatesTwoCliques(t *testing.T) {
 	g := twoCliques(6)
-	comm := Louvain(g, 1)
+	comm := louvain(g, 1)
 	for i := 1; i < 6; i++ {
 		if !sameCommunity(comm, 0, i) {
 			t.Errorf("clique A split: node %d", i)
@@ -55,7 +55,7 @@ func TestLouvainSeparatesTwoCliques(t *testing.T) {
 
 func TestLouvainRingOfCliques(t *testing.T) {
 	g := ringOfCliques(8, 5)
-	comm := Louvain(g, 3)
+	comm := louvain(g, 3)
 	// Every clique must be internally cohesive.
 	for c := 0; c < 8; c++ {
 		base := c * 5
@@ -66,14 +66,14 @@ func TestLouvainRingOfCliques(t *testing.T) {
 		}
 	}
 	// Modularity should be high (the planted partition scores ~0.8).
-	if q := Modularity(g, comm); q < 0.6 {
+	if q := modularity(g, comm); q < 0.6 {
 		t.Errorf("modularity = %v, want > 0.6", q)
 	}
 }
 
 func TestLouvainImprovesModularityOverSingletons(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := NewGraph(60)
+	g := newCommGraph(60)
 	// Planted partition: 3 groups of 20, dense inside, sparse across.
 	for i := 0; i < 60; i++ {
 		for j := i + 1; j < 60; j++ {
@@ -89,17 +89,17 @@ func TestLouvainImprovesModularityOverSingletons(t *testing.T) {
 	for i := range singletons {
 		singletons[i] = i
 	}
-	comm := Louvain(g, 7)
-	if Modularity(g, comm) <= Modularity(g, singletons) {
+	comm := louvain(g, 7)
+	if modularity(g, comm) <= modularity(g, singletons) {
 		t.Errorf("Louvain Q=%v did not beat singleton Q=%v",
-			Modularity(g, comm), Modularity(g, singletons))
+			modularity(g, comm), modularity(g, singletons))
 	}
 }
 
 func TestLouvainDeterministicInSeed(t *testing.T) {
 	g := ringOfCliques(5, 4)
-	a := Louvain(g, 42)
-	b := Louvain(g, 42)
+	a := louvain(g, 42)
+	b := louvain(g, 42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Louvain not deterministic for fixed seed")
@@ -108,14 +108,14 @@ func TestLouvainDeterministicInSeed(t *testing.T) {
 }
 
 func TestLouvainEmptyAndTiny(t *testing.T) {
-	g := NewGraph(3) // no edges
-	comm := Louvain(g, 1)
+	g := newCommGraph(3) // no edges
+	comm := louvain(g, 1)
 	if len(comm) != 3 {
 		t.Fatal("assignment length")
 	}
-	g2 := NewGraph(2)
+	g2 := newCommGraph(2)
 	g2.AddEdge(0, 1, 1)
-	comm2 := Louvain(g2, 1)
+	comm2 := louvain(g2, 1)
 	if comm2[0] != comm2[1] {
 		t.Error("single edge should merge both nodes")
 	}
@@ -123,30 +123,30 @@ func TestLouvainEmptyAndTiny(t *testing.T) {
 
 func TestModularityBounds(t *testing.T) {
 	g := twoCliques(5)
-	comm := Louvain(g, 1)
-	q := Modularity(g, comm)
+	comm := louvain(g, 1)
+	q := modularity(g, comm)
 	if q < -0.5 || q > 1 {
 		t.Errorf("modularity out of range: %v", q)
 	}
-	if Modularity(NewGraph(4), []int{0, 1, 2, 3}) != 0 {
+	if modularity(newCommGraph(4), []int{0, 1, 2, 3}) != 0 {
 		t.Error("empty graph modularity should be 0")
 	}
 }
 
 func TestSelfLoopsHandled(t *testing.T) {
-	g := NewGraph(2)
+	g := newCommGraph(2)
 	g.AddEdge(0, 0, 5)
 	g.AddEdge(0, 1, 1)
-	comm := Louvain(g, 1)
+	comm := louvain(g, 1)
 	if len(comm) != 2 {
 		t.Fatal("assignment length")
 	}
-	_ = Modularity(g, comm) // must not panic or NaN
+	_ = modularity(g, comm) // must not panic or NaN
 }
 
 func TestLabelPropagationTwoCliques(t *testing.T) {
 	g := twoCliques(8)
-	comm := LabelPropagation(g, 2, 0)
+	comm := labelPropagation(g, 2, 0)
 	for i := 1; i < 8; i++ {
 		if comm[0] != comm[i] {
 			t.Errorf("clique A split at %d", i)
@@ -159,8 +159,8 @@ func TestLabelPropagationTwoCliques(t *testing.T) {
 
 func TestLabelPropagationDeterministic(t *testing.T) {
 	g := ringOfCliques(4, 5)
-	a := LabelPropagation(g, 9, 0)
-	b := LabelPropagation(g, 9, 0)
+	a := labelPropagation(g, 9, 0)
+	b := labelPropagation(g, 9, 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("label propagation not deterministic")

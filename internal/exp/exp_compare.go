@@ -26,7 +26,10 @@ func Table2(cfg Config) *Report {
 		"Graph", "system", "runtime", "comm volume", "messages", "triangles")
 	for _, ds := range Datasets(cfg) {
 		w, g := BuildUnit(cfg, n, ds.Edges)
-		want := core.Count(g, core.Options{Mode: core.PushPull})
+		want, err := core.Run(g, core.Options{Mode: core.PushPull}, nil)
+		if err != nil {
+			panic("Table2: " + err.Error())
+		}
 		tb.AddRow(ds.Name, "TriPoll (push-pull)",
 			stats.FormatDuration(want.Total),
 			stats.FormatBytes(want.DryRun.Bytes+want.Push.Bytes+want.Pull.Bytes),
@@ -75,7 +78,10 @@ func AblationPullFactor(cfg Config) *Report {
 		"pull factor", "pulls granted", "comm volume", "runtime", "triangles")
 	var want uint64
 	for _, pf := range []float64{1e-9, 0.25, 0.5, 1.0, 2.0, 4.0, 1e9} {
-		res := core.Count(g, core.Options{Mode: core.PushPull, PullFactor: pf})
+		res, err := core.Run(g, core.Options{Mode: core.PushPull, PullFactor: pf}, nil)
+		if err != nil {
+			panic("AblationPullFactor: " + err.Error())
+		}
 		if want == 0 {
 			want = res.Triangles
 		} else if res.Triangles != want {
@@ -103,7 +109,10 @@ func AblationBuffer(cfg Config) *Report {
 	for _, buf := range []int{256, 4 << 10, 64 << 10, 1 << 20} {
 		w := ygm.MustWorld(4, ygm.Options{BufferBytes: buf, Transport: cfg.Transport})
 		g := BuildUnitOn(w, ds.Edges)
-		res := core.Count(g, core.Options{Mode: core.PushOnly})
+		res, err := core.Run(g, core.Options{Mode: core.PushOnly}, nil)
+		if err != nil {
+			panic("AblationBuffer: " + err.Error())
+		}
 		st := w.Stats()
 		perBatch := float64(st.MessagesSent) / float64(maxI64(st.BatchesSent, 1))
 		tb.AddRow(stats.FormatBytes(int64(buf)),
@@ -131,7 +140,10 @@ func AblationTransport(cfg Config) *Report {
 		c := cfg
 		c.Transport = tk
 		w, g := BuildUnit(c, 4, ds.Edges)
-		res := core.Count(g, core.Options{})
+		res, err := core.Run(g, core.Options{}, nil)
+		if err != nil {
+			panic("AblationTransport: " + err.Error())
+		}
 		tb.AddRow(tk.String(), stats.FormatDuration(res.Total),
 			stats.FormatBytes(res.DryRun.Bytes+res.Push.Bytes+res.Pull.Bytes),
 			stats.FormatCount(res.Triangles))
@@ -170,7 +182,10 @@ func AblationGrouping(cfg Config) *Report {
 		w := ygm.MustWorld(n, ygm.Options{GroupSize: gs, BufferBytes: 8 << 10, Transport: cfg.Transport})
 		g := BuildUnitOn(w, ds.Edges)
 		w.ResetStats()
-		res := core.Count(g, core.Options{Mode: core.PushOnly})
+		res, err := core.Run(g, core.Options{Mode: core.PushOnly}, nil)
+		if err != nil {
+			panic("AblationGrouping: " + err.Error())
+		}
 		st := w.Stats()
 		if want == 0 {
 			want = res.Triangles
@@ -224,7 +239,10 @@ func AblationPartition(cfg Config) *Report {
 				g = gg
 			}
 		})
-		res := core.Count(g, core.Options{Mode: core.PushPull})
+		res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil)
+		if err != nil {
+			panic("AblationPartition: " + err.Error())
+		}
 		counts = append(counts, res.Triangles)
 		tb.AddRow(part.Name(),
 			fmt.Sprintf("%.2f", res.WorkBalance),

@@ -136,7 +136,7 @@ func multiprocRun(cfg Config, procs, ranks int, edges []graph.TemporalEdge, opts
 	start := time.Now()
 	g := buildTemporalSpan(cl.World(), edges)
 	buildWall := time.Since(start)
-	if err := cl.Traverse("g", 0, opts, specs); err != nil {
+	if err := cl.Traverse("g", opts, specs); err != nil {
 		return core.Result{}, nil, 0, err
 	}
 	res, vals, err := engine.ExecuteFused(engine.TemporalRegistry(), timeOf, g, opts, specs)

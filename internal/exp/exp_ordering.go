@@ -61,7 +61,10 @@ func AblationOrdering(cfg Config) *Report {
 			buildM := buildSpan.End()
 			buildTime := time.Since(buildStart)
 			surveySpan := BeginMeasure()
-			res := core.Count(g, core.Options{Mode: core.PushPull})
+			res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil)
+			if err != nil {
+				panic("AblationOrdering: " + err.Error())
+			}
 			surveyM := surveySpan.End()
 			msgs := res.DryRun.Messages + res.Push.Messages + res.Pull.Messages
 			byOrd[ord] = row{wedges: g.NumWedges(), triangles: res.Triangles}

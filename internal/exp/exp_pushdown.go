@@ -92,7 +92,7 @@ func AblationPushdown(cfg Config) *Report {
 			run := func(pushdown bool) outcome {
 				sp := BeginMeasure()
 				if pushdown {
-					res, err := core.WindowedCount(g, plan, core.Options{Mode: mode})
+					res, err := core.Run(g, core.Options{Mode: mode}, plan)
 					if err != nil {
 						panic("pushdown ablation: " + err.Error())
 					}

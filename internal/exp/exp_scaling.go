@@ -6,6 +6,7 @@ import (
 
 	"tripoll/internal/core"
 	"tripoll/internal/rmat"
+	"tripoll/internal/serialize"
 	"tripoll/internal/stats"
 )
 
@@ -17,7 +18,10 @@ func Table1(cfg Config) *Report {
 	tb := stats.NewTable("", "Graph", "stands in for", "|V|", "|E|", "|T|", "dmax", "dmax+")
 	for _, ds := range Datasets(cfg) {
 		w, g := BuildUnit(cfg, 4, ds.Edges)
-		res := core.Count(g, core.Options{})
+		res, err := core.Run(g, core.Options{}, nil)
+		if err != nil {
+			panic("Table1: " + err.Error())
+		}
 		tb.AddRow(ds.Name, ds.Analog,
 			stats.FormatCount(g.NumVertices()),
 			stats.FormatCount(g.NumDirectedEdges()),
@@ -53,7 +57,10 @@ func Fig4(cfg Config) *Report {
 		var volumes []int64
 		for _, n := range cfg.rankSweep() {
 			w, g := BuildUnit(cfg, n, ds.Edges)
-			res := core.Count(g, core.Options{Mode: core.PushPull})
+			res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil)
+			if err != nil {
+				panic("Fig4: " + err.Error())
+			}
 			if n == 1 {
 				baseWork = res.MaxRankWedgeChecks
 				firstCount = res.Triangles
@@ -115,7 +122,10 @@ func Fig5(cfg Config) *Report {
 		}
 		p := rmat.Params{Scale: s, Seed: 500, Scramble: true}
 		w, g := BuildRMATRanged(cfg, n, p)
-		res := core.Count(g, core.Options{Mode: core.PushPull})
+		res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil)
+		if err != nil {
+			panic("Fig5: " + err.Error())
+		}
 		rate := float64(g.NumWedges()) / (float64(n) * res.Total.Seconds())
 		vol := res.DryRun.Bytes + res.Push.Bytes + res.Pull.Bytes
 		bpw := float64(vol) / float64(max64(g.NumWedges(), 1))
@@ -162,7 +172,10 @@ func Fig9(cfg Config) *Report {
 		for _, mode := range []core.Mode{core.PushOnly, core.PushPull} {
 			// Dummy metadata: plain count.
 			wU, gU := BuildUnit(cfg, n, edges)
-			resU := core.Count(gU, core.Options{Mode: mode})
+			resU, err := core.Run(gU, core.Options{Mode: mode}, nil)
+			if err != nil {
+				panic("Fig9: " + err.Error())
+			}
 			rateU := float64(gU.NumWedges()) / (float64(n) * resU.Total.Seconds())
 			tb.AddRow(fmt.Sprintf("%d", n), mode.String(), "dummy",
 				stats.FormatDuration(resU.Total), stats.FormatCount(uint64(rateU)), stats.FormatCount(resU.Triangles))
@@ -170,7 +183,10 @@ func Fig9(cfg Config) *Report {
 
 			// Degree metadata + nontrivial callback.
 			wD, gD := BuildDegreeMeta(cfg, n, edges)
-			_, resD := core.DegreeTriples(gD, core.Options{Mode: mode})
+			resD, err := core.Run(gD, core.Options{Mode: mode}, nil, core.DegreeTripleAnalysis[serialize.Unit]().Bind(new(map[core.DegreeTriple]uint64)))
+			if err != nil {
+				panic("Fig9: " + err.Error())
+			}
 			rateD := float64(gD.NumWedges()) / (float64(n) * resD.Total.Seconds())
 			tb.AddRow(fmt.Sprintf("%d", n), mode.String(), "degree+callback",
 				stats.FormatDuration(resD.Total), stats.FormatCount(uint64(rateD)), stats.FormatCount(resD.Triangles))
@@ -221,7 +237,10 @@ func Table4(cfg Config) *Report {
 			}
 			w, g := BuildUnit(cfg, n, d.Edges)
 			for _, mode := range []core.Mode{core.PushOnly, core.PushPull} {
-				res := core.Count(g, core.Options{Mode: mode})
+				res, err := core.Run(g, core.Options{Mode: mode}, nil)
+				if err != nil {
+					panic("Table4: " + err.Error())
+				}
 				bytes := res.DryRun.Bytes + res.Push.Bytes + res.Pull.Bytes
 				msgs := res.DryRun.Messages + res.Push.Messages + res.Pull.Messages
 				tb.AddRow(d.Name, fmt.Sprintf("%d", n), mode.String(),

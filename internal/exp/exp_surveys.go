@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"tripoll/internal/community"
-	"tripoll/internal/container"
 	"tripoll/internal/core"
 	"tripoll/internal/gen"
 	"tripoll/internal/serialize"
@@ -31,7 +29,11 @@ func Fig6(cfg Config) *Report {
 	edges := gen.RedditLike(redditParams(cfg))
 	w, g := BuildTemporal(cfg, 4, edges)
 	defer w.Close()
-	joint, res := core.ClosureTimes(g, core.Options{})
+	var joint *stats.Joint2D
+	res, err := core.Run(g, core.Options{}, nil, core.ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
+	if err != nil {
+		panic("Fig6: " + err.Error())
+	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "events=%d  reduced |E|=%s  triangles=%s  multi-edges merged=%s\n\n",
@@ -73,7 +75,10 @@ func Fig7(cfg Config) *Report {
 	var pulls []float64
 	for _, n := range cfg.rankSweep() {
 		w, g := BuildTemporal(cfg, n, edges)
-		_, res := core.ClosureTimes(g, core.Options{Mode: core.PushPull})
+		res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil, core.ClosureTimeAnalysis[serialize.Unit]().Bind(new(*stats.Joint2D)))
+		if err != nil {
+			panic("Fig7: " + err.Error())
+		}
 		if n == cfg.rankSweep()[0] {
 			baseWork = res.MaxRankWedgeChecks
 		}
@@ -100,6 +105,38 @@ func Fig7(cfg Config) *Report {
 // fqdnTriple is a sorted 3-tuple of FQDN strings.
 type fqdnTriple = serialize.Triple[string, string, string]
 
+// fqdnTripleAnalysis counts each sorted 3-tuple of pairwise distinct FQDNs
+// in rank-local maps, folded by the survey's tree reduction.
+func fqdnTripleAnalysis() core.Analysis[string, serialize.Unit, map[fqdnTriple]uint64] {
+	return core.Analysis[string, serialize.Unit, map[fqdnTriple]uint64]{
+		Name:     "fqdn-triples",
+		NewAccum: func() map[fqdnTriple]uint64 { return map[fqdnTriple]uint64{} },
+		Observe: func(_ *ygm.Rank, acc map[fqdnTriple]uint64, t *core.Triangle[string, serialize.Unit]) map[fqdnTriple]uint64 {
+			a, b, c := t.MetaP, t.MetaQ, t.MetaR
+			if a == b || b == c || a == c {
+				return acc
+			}
+			if a > b {
+				a, b = b, a
+			}
+			if b > c {
+				b, c = c, b
+			}
+			if a > b {
+				a, b = b, a
+			}
+			acc[fqdnTriple{First: a, Second: b, Third: c}]++
+			return acc
+		},
+		Merge: func(x, y map[fqdnTriple]uint64) map[fqdnTriple]uint64 {
+			for k, v := range y {
+				x[k] += v
+			}
+			return x
+		},
+	}
+}
+
 // Fig8 regenerates the FQDN survey on the web-host stand-in: count
 // 3-tuples of distinct FQDNs across all triangles, condition on the hub
 // domain ("amazon.example" playing amazon.com), order the co-occurring
@@ -115,33 +152,11 @@ func Fig8(cfg Config) *Report {
 	w, g := BuildFQDN(cfg, 4, wh)
 	defer w.Close()
 
-	tripleCodec := serialize.TripleCodec(serialize.StringCodec(), serialize.StringCodec(), serialize.StringCodec())
-	counter := container.NewCounter[fqdnTriple](w, tripleCodec, container.CounterOptions{})
-	s := core.NewSurvey(g, core.Options{}, func(r *ygm.Rank, t *core.Triangle[string, serialize.Unit]) {
-		a, b, c := t.MetaP, t.MetaQ, t.MetaR
-		if a == b || b == c || a == c {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		counter.Inc(r, fqdnTriple{First: a, Second: b, Third: c})
-	})
-	res := s.Run()
 	var triples map[fqdnTriple]uint64
-	w.Parallel(func(r *ygm.Rank) {
-		counter.Barrier(r)
-		m := counter.Gather(r)
-		if r.ID() == 0 {
-			triples = m
-		}
-	})
+	res, err := core.Run(g, core.Options{}, nil, fqdnTripleAnalysis().Bind(&triples))
+	if err != nil {
+		panic("Fig8: " + err.Error())
+	}
 
 	// Post-processing "on a single machine" (§5.8): select triples
 	// containing the hub, build the co-occurrence pair distribution.
@@ -184,11 +199,11 @@ func Fig8(cfg Config) *Report {
 		idOf(p.a)
 		idOf(p.b)
 	}
-	cg := community.NewGraph(len(nameList))
+	cg := newCommGraph(len(nameList))
 	for p, c := range pairCount {
 		cg.AddEdge(names[p.a], names[p.b], float64(c))
 	}
-	comm := community.Louvain(cg, 11)
+	comm := louvain(cg, 11)
 	order := make([]int, len(nameList))
 	for i := range order {
 		order[i] = i

@@ -114,7 +114,7 @@ func RedditLike(p RedditParams) []graph.TemporalEdge {
 }
 
 // RedditReference computes, serially, the exact joint closure-time bucket
-// distribution the distributed ClosureTimes survey must reproduce. It
+// distribution the distributed ClosureTimeAnalysis survey must reproduce. It
 // mirrors the paper's Alg. 4 over the reduced (min-timestamp) simple graph.
 // Returned map keys are (⌈log₂ Δt_open⌉, ⌈log₂ Δt_close⌉) pairs.
 func RedditReference(edges []graph.TemporalEdge) map[[2]int]uint64 {

@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // Partitioner assigns each vertex id to the rank that stores its adjacency
 // list, metadata, and computation (the Rank(u) of §3). The paper uses
 // "random or cyclic partitionings of vertices across MPI ranks" (§4.2); both
@@ -30,39 +28,6 @@ func (CyclicPartition) Owner(v uint64, n int) int { return int(v % uint64(n)) }
 
 // Name implements Partitioner.
 func (CyclicPartition) Name() string { return "cyclic" }
-
-// SpanPartition confines ownership to the rank span [First, First+Count):
-// Base decides placement within the span, every rank outside it holds an
-// empty shard. Replicated graphs (engine.RegisterReplicated) build one
-// copy per span, so each replica's traversal exchanges messages only among
-// its own ranks while the collective still covers the whole world.
-type SpanPartition struct {
-	Base  Partitioner // nil = HashPartition
-	First int
-	Count int
-}
-
-// Owner implements Partitioner.
-func (p SpanPartition) Owner(v uint64, n int) int {
-	base := p.Base
-	if base == nil {
-		base = HashPartition{}
-	}
-	count := p.Count
-	if count <= 0 || p.First+count > n {
-		count = n - p.First
-	}
-	return p.First + base.Owner(v, count)
-}
-
-// Name implements Partitioner.
-func (p SpanPartition) Name() string {
-	base := p.Base
-	if base == nil {
-		base = HashPartition{}
-	}
-	return fmt.Sprintf("span:%d:%d:%s", p.First, p.Count, base.Name())
-}
 
 // PartitionerByName is Name's inverse, used by snapshot loading and CLIs.
 func PartitionerByName(name string) (Partitioner, bool) {

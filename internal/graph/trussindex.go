@@ -2,8 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 	"slices"
 
 	"tripoll/internal/serialize"
@@ -48,10 +46,10 @@ type spanBucket struct {
 //
 // A slot with buckets but no membership (support delivered for an edge
 // InsertEdge never recorded, or that expired) answers SupportIn but is not
-// an edge: EdgesIn does not list it and snapshots do not encode it. A slot
-// with neither is a tombstone: reads pass over it, a later InsertEdge or
-// AddSupport on its pair revives it in place, and once tombstones outnumber
-// the other slots they are compacted away (StreamShard's discipline).
+// an edge: EdgesIn and ReadWindow do not list it. A slot with neither is a
+// tombstone: reads pass over it, a later InsertEdge or AddSupport on its
+// pair revives it in place, and once tombstones outnumber the other slots
+// they are compacted away (StreamShard's discipline).
 //
 // Reads settle pending slots, so no method, reads included, is safe for
 // concurrent use.
@@ -386,123 +384,4 @@ func (st *TriSpanStore) ReadWindow(w *WindowRead, from, until uint64, hasDelta b
 		w.Support = append(w.Support, sum)
 		w.Buckets += visited
 	}
-}
-
-// Snapshot codec (TPTI1), in the TPDG2 shard mould: magic + version,
-// deterministic encode (edges ascending, buckets ascending per edge),
-// decode that validates every claimed count against the bytes actually
-// remaining before allocating, and typed errors — corrupt input must never
-// panic.
-
-const triSpanMagic = "TPTI1"
-
-// ErrTriSpanCorrupt is wrapped by every decode failure of a triangle-span
-// index snapshot.
-var ErrTriSpanCorrupt = errors.New("graph: corrupt triangle-span index snapshot")
-
-func triSpanCorrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrTriSpanCorrupt, fmt.Sprintf(format, args...))
-}
-
-// EncodeSnapshot serializes the store's live edges and their buckets
-// deterministically: stores holding the same edges and buckets yield
-// identical bytes whatever their history.
-func (st *TriSpanStore) EncodeSnapshot() []byte {
-	st.settle()
-	var e serialize.Encoder
-	e.PutString(triSpanMagic)
-	e.PutUvarint(uint64(st.edges))
-	for _, s := range st.order {
-		if !st.member[s] {
-			continue
-		}
-		e.PutUvarint(st.pair[s].First)
-		e.PutUvarint(st.pair[s].Second)
-		e.PutUvarint(st.ts[s])
-		e.PutUvarint(uint64(len(st.runs[s])))
-		for _, b := range st.runs[s] {
-			e.PutUvarint(b.Lo)
-			e.PutUvarint(b.Hi - b.Lo) // width, so Hi ≥ Lo is free to validate
-			e.PutUvarint(b.N)
-		}
-	}
-	return e.Bytes()
-}
-
-// DecodeTriSpanSnapshot parses TPTI1 bytes back into a store. Corrupt or
-// truncated input returns an error wrapping ErrTriSpanCorrupt; claimed
-// counts are checked against the remaining buffer before any allocation
-// is sized by them.
-func DecodeTriSpanSnapshot(data []byte) (*TriSpanStore, error) {
-	d := serialize.NewDecoder(data)
-	if magic := d.String(); d.Err() != nil || magic != triSpanMagic {
-		return nil, triSpanCorrupt("bad magic")
-	}
-	nEdges := d.Uvarint()
-	if d.Err() != nil {
-		return nil, triSpanCorrupt("truncated edge count")
-	}
-	// Each edge costs ≥ 4 bytes (three uvarints + bucket count).
-	if nEdges > uint64(d.Remaining()) {
-		return nil, triSpanCorrupt("edge count %d exceeds remaining %d bytes", nEdges, d.Remaining())
-	}
-	st := NewTriSpanStore()
-	var prev serialize.Pair[uint64, uint64]
-	for i := uint64(0); i < nEdges; i++ {
-		u := d.Uvarint()
-		v := d.Uvarint()
-		ts := d.Uvarint()
-		nb := d.Uvarint()
-		if d.Err() != nil {
-			return nil, triSpanCorrupt("truncated edge record %d", i)
-		}
-		if u >= v {
-			return nil, triSpanCorrupt("edge %d not canonical: {%d, %d}", i, u, v)
-		}
-		k := serialize.Pair[uint64, uint64]{First: u, Second: v}
-		if i > 0 && !(prev.First < u || (prev.First == u && prev.Second < v)) {
-			return nil, triSpanCorrupt("edge %d out of order", i)
-		}
-		prev = k
-		if nb > uint64(d.Remaining()) {
-			return nil, triSpanCorrupt("edge %d bucket count %d exceeds remaining %d bytes", i, nb, d.Remaining())
-		}
-		s := st.newSlot(k)
-		st.member[s], st.ts[s] = true, ts
-		st.edges++
-		st.dead--
-		if nb == 0 {
-			continue
-		}
-		run := make([]spanBucket, 0, nb)
-		for j := uint64(0); j < nb; j++ {
-			lo := d.Uvarint()
-			width := d.Uvarint()
-			n := d.Uvarint()
-			if d.Err() != nil {
-				return nil, triSpanCorrupt("truncated bucket %d of edge %d", j, i)
-			}
-			if n == 0 {
-				return nil, triSpanCorrupt("zero-count bucket %d of edge %d", j, i)
-			}
-			hi := lo + width
-			if hi < lo {
-				return nil, triSpanCorrupt("bucket %d of edge %d overflows", j, i)
-			}
-			sp := TriSpan{Lo: lo, Hi: hi}
-			if j > 0 && compareSpan(run[j-1], sp) >= 0 {
-				return nil, triSpanCorrupt("bucket %d of edge %d out of order", j, i)
-			}
-			run = append(run, spanBucket{TriSpan: sp, N: n})
-		}
-		st.runs[s] = run
-		st.buckets += len(run)
-	}
-	if d.Remaining() != 0 {
-		return nil, triSpanCorrupt("%d trailing bytes", d.Remaining())
-	}
-	// Records arrive strictly ascending (checked above), so the new slots
-	// are already in read order.
-	st.order, st.pending = st.pending, nil
-	return st, nil
 }

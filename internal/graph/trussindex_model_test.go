@@ -1,12 +1,8 @@
 package graph
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"tripoll/internal/serialize"
@@ -125,115 +121,6 @@ func (st *mapSpanStore) EdgesIn(from, until uint64) []serialize.Pair[uint64, uin
 	return out
 }
 
-func (st *mapSpanStore) EncodeSnapshot() []byte {
-	var e serialize.Encoder
-	e.PutString(triSpanMagic)
-
-	edges := make([]serialize.Pair[uint64, uint64], 0, len(st.Edges))
-	for k := range st.Edges {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].First != edges[j].First {
-			return edges[i].First < edges[j].First
-		}
-		return edges[i].Second < edges[j].Second
-	})
-	e.PutUvarint(uint64(len(edges)))
-	for _, k := range edges {
-		e.PutUvarint(k.First)
-		e.PutUvarint(k.Second)
-		e.PutUvarint(st.Edges[k])
-
-		b := st.Supp[k]
-		spans := make([]TriSpan, 0, len(b))
-		for sp := range b {
-			spans = append(spans, sp)
-		}
-		sort.Slice(spans, func(i, j int) bool {
-			if spans[i].Lo != spans[j].Lo {
-				return spans[i].Lo < spans[j].Lo
-			}
-			return spans[i].Hi < spans[j].Hi
-		})
-		e.PutUvarint(uint64(len(spans)))
-		for _, sp := range spans {
-			e.PutUvarint(sp.Lo)
-			e.PutUvarint(sp.Hi - sp.Lo)
-			e.PutUvarint(b[sp])
-		}
-	}
-	return e.Bytes()
-}
-
-func decodeMapSpanSnapshot(data []byte) (*mapSpanStore, error) {
-	d := serialize.NewDecoder(data)
-	if magic := d.String(); d.Err() != nil || magic != triSpanMagic {
-		return nil, triSpanCorrupt("bad magic")
-	}
-	nEdges := d.Uvarint()
-	if d.Err() != nil {
-		return nil, triSpanCorrupt("truncated edge count")
-	}
-	if nEdges > uint64(d.Remaining()) {
-		return nil, triSpanCorrupt("edge count %d exceeds remaining %d bytes", nEdges, d.Remaining())
-	}
-	st := newMapSpanStore()
-	var prev serialize.Pair[uint64, uint64]
-	for i := uint64(0); i < nEdges; i++ {
-		u := d.Uvarint()
-		v := d.Uvarint()
-		ts := d.Uvarint()
-		nb := d.Uvarint()
-		if d.Err() != nil {
-			return nil, triSpanCorrupt("truncated edge record %d", i)
-		}
-		if u >= v {
-			return nil, triSpanCorrupt("edge %d not canonical: {%d, %d}", i, u, v)
-		}
-		k := serialize.Pair[uint64, uint64]{First: u, Second: v}
-		if i > 0 && !(prev.First < u || (prev.First == u && prev.Second < v)) {
-			return nil, triSpanCorrupt("edge %d out of order", i)
-		}
-		prev = k
-		if nb > uint64(d.Remaining()) {
-			return nil, triSpanCorrupt("edge %d bucket count %d exceeds remaining %d bytes", i, nb, d.Remaining())
-		}
-		st.Edges[k] = ts
-		if nb == 0 {
-			continue
-		}
-		b := make(map[TriSpan]uint64, nb)
-		var prevSp TriSpan
-		for j := uint64(0); j < nb; j++ {
-			lo := d.Uvarint()
-			width := d.Uvarint()
-			n := d.Uvarint()
-			if d.Err() != nil {
-				return nil, triSpanCorrupt("truncated bucket %d of edge %d", j, i)
-			}
-			if n == 0 {
-				return nil, triSpanCorrupt("zero-count bucket %d of edge %d", j, i)
-			}
-			hi := lo + width
-			if hi < lo {
-				return nil, triSpanCorrupt("bucket %d of edge %d overflows", j, i)
-			}
-			sp := TriSpan{Lo: lo, Hi: hi}
-			if j > 0 && !(prevSp.Lo < lo || (prevSp.Lo == lo && prevSp.Hi < hi)) {
-				return nil, triSpanCorrupt("bucket %d of edge %d out of order", j, i)
-			}
-			prevSp = sp
-			b[sp] = n
-		}
-		st.Supp[k] = b
-	}
-	if d.Remaining() != 0 {
-		return nil, triSpanCorrupt("%d trailing bytes", d.Remaining())
-	}
-	return st, nil
-}
-
 // spanStore is the surface both stores share.
 type spanStore interface {
 	InsertEdge(u, v, ts uint64, merge func(a, b uint64) uint64)
@@ -244,12 +131,11 @@ type spanStore interface {
 	NumBuckets() int
 	SupportIn(u, v, from, until uint64, hasDelta bool, delta uint64) uint64
 	EdgesIn(from, until uint64) []serialize.Pair[uint64, uint64]
-	EncodeSnapshot() []byte
 }
 
 // spanOp is one step of a store history.
 type spanOp struct {
-	kind       byte // 'i' insert, 's' support, 'x' expire, 'r' reset support, 'c' decode(encode)
+	kind       byte // 'i' insert, 's' support, 'x' expire, 'r' reset support
 	u, v, w    uint64
 	ts, lo, hi uint64
 	delta      int64
@@ -262,8 +148,7 @@ const spanPool = 16 // vertices; few enough that pairs, buckets and ties recur
 // ahead of it, some behind (they expire at the next advance), cutoffs that
 // land on stored timestamps and bucket Lo values, duplicate inserts under
 // min and nil merge, ± and zero supports on members and non-members
-// (negative and zero ones often on absent buckets), support resets and
-// codec round trips.
+// (negative and zero ones often on absent buckets) and support resets.
 func spanHistory(seed int64, n int) []spanOp {
 	rng := rand.New(rand.NewSource(seed))
 	vertex := func() uint64 { return uint64(rng.Intn(spanPool)) }
@@ -288,8 +173,6 @@ func spanHistory(seed int64, n int) []spanOp {
 			ops = append(ops, spanOp{kind: 'x', ts: wm})
 		case x < 98:
 			ops = append(ops, spanOp{kind: 'r'})
-		default:
-			ops = append(ops, spanOp{kind: 'c'})
 		}
 	}
 	return ops
@@ -297,10 +180,8 @@ func spanHistory(seed int64, n int) []spanOp {
 
 func minU64(a, b uint64) uint64 { return min(a, b) }
 
-// stepSpan applies op to st and returns the store to continue with (a
-// fresh one after a codec round trip) and ExpireBefore's counts.
-func stepSpan[S spanStore](t *testing.T, st S, op spanOp, decode func([]byte) (S, error)) (S, [2]int) {
-	t.Helper()
+// stepSpan applies op to st and returns ExpireBefore's counts.
+func stepSpan(st spanStore, op spanOp) [2]int {
 	switch op.kind {
 	case 'i':
 		merge := minU64
@@ -312,26 +193,21 @@ func stepSpan[S spanStore](t *testing.T, st S, op spanOp, decode func([]byte) (S
 		st.AddSupport(op.u, op.v, op.w, op.lo, op.hi, op.delta)
 	case 'x':
 		e, b := st.ExpireBefore(op.ts)
-		return st, [2]int{e, b}
+		return [2]int{e, b}
 	case 'r':
 		st.ResetSupport()
-	case 'c':
-		fresh, err := decode(st.EncodeSnapshot())
-		if err != nil {
-			t.Fatalf("decode(encode): %v", err)
-		}
-		return fresh, [2]int{}
 	}
-	return st, [2]int{}
+	return [2]int{}
 }
 
 // TestSpanStoreMatchesModel runs seeded random histories through the
 // columnar store and the map model and compares every observable after
 // every step: counts, expiry drop counts, timestamps, EdgesIn, SupportIn
 // and ReadWindow over random windows and δ for every pair of the vertex
-// pool (members or not), and the snapshot bytes.
+// pool (members or not), ReadWindow over the full axis, and ReadWindow and
+// SupportIn over one window per bucket either store holds.
 func TestSpanStoreMatchesModel(t *testing.T) {
-	var ties, supportOnly, compactions, resets, roundTrips int
+	var ties, supportOnly, compactions, resets int
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed * 7919))
 		st, model := NewTriSpanStore(), newMapSpanStore()
@@ -352,17 +228,12 @@ func TestSpanStoreMatchesModel(t *testing.T) {
 				}
 			}
 			slots := len(st.pair)
-			var got, want [2]int
-			st, got = stepSpan(t, st, op, DecodeTriSpanSnapshot)
-			model, want = stepSpan(t, model, op, decodeMapSpanSnapshot)
-			if len(st.pair) < slots && op.kind != 'c' {
+			got, want := stepSpan(st, op), stepSpan(model, op)
+			if len(st.pair) < slots {
 				compactions++
 			}
-			switch op.kind {
-			case 'r':
+			if op.kind == 'r' {
 				resets++
-			case 'c':
-				roundTrips++
 			}
 			if got != want {
 				t.Fatalf("seed %d op %d %+v: ExpireBefore dropped %v, model %v", seed, i, op, got, want)
@@ -373,6 +244,30 @@ func TestSpanStoreMatchesModel(t *testing.T) {
 			}
 			if (op.kind == 'i' || op.kind == 's') && i%5 != 0 {
 				continue
+			}
+
+			// checkRead holds one ReadWindow to the model: the edges, their
+			// support sums and the buckets the read visited.
+			checkRead := func(from, until uint64, hasDelta bool, delta uint64) {
+				t.Helper()
+				st.ReadWindow(&w, from, until, hasDelta, delta)
+				if !slices.Equal(w.Edges, model.EdgesIn(from, until)) || w.Slots < st.NumEdges() {
+					t.Fatalf("seed %d op %d: ReadWindow(%d, %d) edges %v (%d slots), model %v", seed, i, from, until, w.Edges, w.Slots, model.EdgesIn(from, until))
+				}
+				buckets := 0
+				for j, p := range w.Edges {
+					if s, m := w.Support[j], model.SupportIn(p.First, p.Second, from, until, hasDelta, delta); s != m {
+						t.Fatalf("seed %d op %d: ReadWindow(%d, %d, δ %v %d) support of %v = %d, model %d", seed, i, from, until, hasDelta, delta, p, s, m)
+					}
+					for sp := range model.Supp[p] {
+						if sp.Lo >= from && sp.Lo <= until {
+							buckets++
+						}
+					}
+				}
+				if w.Buckets != buckets {
+					t.Fatalf("seed %d op %d: ReadWindow(%d, %d) visited %d buckets, want %d", seed, i, from, until, w.Buckets, buckets)
+				}
 			}
 
 			from := wm - 20 + uint64(rng.Intn(100))
@@ -387,24 +282,8 @@ func TestSpanStoreMatchesModel(t *testing.T) {
 			if g, m := st.EdgesIn(from, until), model.EdgesIn(from, until); !slices.Equal(g, m) {
 				t.Fatalf("seed %d op %d: EdgesIn(%d, %d) = %v, model %v", seed, i, from, until, g, m)
 			}
-			st.ReadWindow(&w, from, until, hasDelta, delta)
-			if !slices.Equal(w.Edges, model.EdgesIn(from, until)) || w.Slots < st.NumEdges() {
-				t.Fatalf("seed %d op %d: ReadWindow edges %v (%d slots), model %v", seed, i, w.Edges, w.Slots, model.EdgesIn(from, until))
-			}
-			buckets := 0
-			for j, p := range w.Edges {
-				if s, m := w.Support[j], model.SupportIn(p.First, p.Second, from, until, hasDelta, delta); s != m {
-					t.Fatalf("seed %d op %d: ReadWindow support of %v = %d, model %d", seed, i, p, s, m)
-				}
-				for sp := range model.Supp[p] {
-					if sp.Lo >= from && sp.Lo <= until {
-						buckets++
-					}
-				}
-			}
-			if w.Buckets != buckets {
-				t.Fatalf("seed %d op %d: ReadWindow visited %d buckets, want %d", seed, i, w.Buckets, buckets)
-			}
+			checkRead(from, until, hasDelta, delta)
+			checkRead(0, ^uint64(0), false, 0)
 			for u := uint64(0); u < spanPool; u++ {
 				for v := u + 1; v < spanPool; v++ {
 					if g, m := st.SupportIn(v, u, from, until, hasDelta, delta), model.SupportIn(u, v, from, until, hasDelta, delta); g != m {
@@ -420,38 +299,109 @@ func TestSpanStoreMatchesModel(t *testing.T) {
 					}
 				}
 			}
-			if g, m := st.EncodeSnapshot(), model.EncodeSnapshot(); !bytes.Equal(g, m) {
-				t.Fatalf("seed %d op %d: snapshot bytes differ from the model's", seed, i)
+
+			// One window per bucket either store holds, δ its width: a read
+			// sums the buckets nested in its window, so the innermost bucket
+			// where the stores differ changes a sum. SupportIn sees the
+			// buckets of every pair; ReadWindow those of edges whose
+			// timestamp the window holds.
+			read := map[TriSpan]bool{}
+			for k, spans := range bucketWindows(st, model) {
+				for _, sp := range spans {
+					if g, m := st.SupportIn(k.First, k.Second, sp.Lo, sp.Hi, true, sp.Hi-sp.Lo), model.SupportIn(k.First, k.Second, sp.Lo, sp.Hi, true, sp.Hi-sp.Lo); g != m {
+						t.Fatalf("seed %d op %d: SupportIn(%v, %+v) = %d, model %d", seed, i, k, sp, g, m)
+					}
+					if !read[sp] {
+						read[sp] = true
+						checkRead(sp.Lo, sp.Hi, true, sp.Hi-sp.Lo)
+					}
+				}
 			}
 		}
 	}
 	// The histories must actually reach the cases they are drawn for.
 	for name, n := range map[string]int{"expiry ties": ties, "support-only slots": supportOnly,
-		"compactions": compactions, "resets": resets, "codec round trips": roundTrips} {
+		"compactions": compactions, "resets": resets} {
 		if n == 0 {
 			t.Errorf("no %s in the histories", name)
 		}
 	}
 }
 
-// goldenSpanSHA is the SHA-256 of the snapshots TestTriSpanSnapshotGolden's
-// history produces, generated by the map-backed store before the columnar
-// layout replaced it.
-const goldenSpanSHA = "522b8b9461a7494f8846b730e19f58c3b6f089f0e1e4488c1522d24cf324b1f7"
-
-// TestTriSpanSnapshotGolden pins the TPTI1 format: the snapshots taken
-// every 100 steps of one seeded history, concatenated, hash to what the
-// map-backed store produced.
-func TestTriSpanSnapshotGolden(t *testing.T) {
-	st := NewTriSpanStore()
-	h := sha256.New()
-	for i, op := range spanHistory(42, 3000) {
-		st, _ = stepSpan(t, st, op, DecodeTriSpanSnapshot)
-		if i%100 == 99 {
-			h.Write(st.EncodeSnapshot())
+// bucketWindows lists, per pair, the span of every bucket the columnar
+// store or the model holds on it.
+func bucketWindows(st *TriSpanStore, model *mapSpanStore) map[serialize.Pair[uint64, uint64]][]TriSpan {
+	out := make(map[serialize.Pair[uint64, uint64]][]TriSpan)
+	for k, b := range model.Supp {
+		for sp := range b {
+			out[k] = append(out[k], sp)
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSpanSHA {
-		t.Fatalf("TPTI1 snapshots hash to %s, want %s", got, goldenSpanSHA)
+	for k, s := range st.slot {
+		for _, b := range st.runs[s] {
+			out[k] = append(out[k], b.TriSpan)
+		}
+	}
+	return out
+}
+
+// TestTriSpanStoreSemantics pins the store's maintenance semantics the
+// index relies on: merge-on-duplicate, bucket removal at zero, exact
+// expiry by envelope Lo, and δ/window filtering in SupportIn.
+func TestTriSpanStoreSemantics(t *testing.T) {
+	st := NewTriSpanStore()
+	st.InsertEdge(5, 4, 100, nil) // canonicalized to {4, 5}
+	if ts, ok := st.Timestamp(4, 5); !ok || ts != 100 {
+		t.Fatalf("insert not canonical: %v %v", ts, ok)
+	}
+	min := func(a, b uint64) uint64 {
+		if a < b {
+			return a
+		}
+		return b
+	}
+	st.InsertEdge(4, 5, 50, min)
+	if ts, _ := st.Timestamp(4, 5); ts != 50 {
+		t.Fatalf("duplicate must merge: got %d", ts)
+	}
+	st.InsertEdge(4, 5, 200, nil)
+	if ts, _ := st.Timestamp(4, 5); ts != 50 {
+		t.Fatalf("nil merge must keep stored: got %d", ts)
+	}
+
+	st.AddSupport(1, 2, 3, 10, 40, 1)
+	st.AddSupport(1, 2, 3, 10, 40, 1)
+	st.AddSupport(1, 2, 3, 20, 25, 1)
+	if got := st.SupportIn(1, 2, 0, 100, false, 0); got != 3 {
+		t.Fatalf("SupportIn whole: got %d, want 3", got)
+	}
+	if got := st.SupportIn(1, 2, 0, 100, true, 10); got != 1 {
+		t.Fatalf("SupportIn δ=10 must keep only the [20,25] bucket: got %d", got)
+	}
+	if got := st.SupportIn(1, 2, 15, 100, false, 0); got != 1 {
+		t.Fatalf("SupportIn from=15 must drop Lo=10 buckets: got %d", got)
+	}
+	st.AddSupport(1, 2, 3, 10, 40, -2)
+	if got := st.SupportIn(1, 2, 0, 100, false, 0); got != 1 {
+		t.Fatalf("negative delta must remove the bucket: got %d", got)
+	}
+	// Each AddSupport touches the triangle's three edges; the [20, 25]
+	// bucket survives on all of them.
+	st.AddSupport(7, 8, 9, 5, 6, -1)
+	if st.NumBuckets() != 3 {
+		t.Fatalf("negative delta on absent bucket must not create one: %d buckets", st.NumBuckets())
+	}
+
+	st.InsertEdge(1, 2, 12, nil)
+	st.InsertEdge(1, 3, 30, nil)
+	edges, buckets := st.ExpireBefore(25)
+	if edges != 1 {
+		t.Fatalf("expire must drop the ts=12 edge: dropped %d", edges)
+	}
+	if buckets != 3 {
+		t.Fatalf("expire must drop the Lo=20 bucket on all three edges: dropped %d", buckets)
+	}
+	if st.NumBuckets() != 0 {
+		t.Fatalf("store must have no buckets left: %d", st.NumBuckets())
 	}
 }

@@ -69,7 +69,9 @@ func TestStreamQuickstart(t *testing.T) {
 
 	// The materialized window snapshot agrees with a full survey.
 	g2 := s.Materialize()
-	if res := tripoll.Count(g2, tripoll.SurveyOptions{}); res.Triangles != 1 {
+	if res, err := tripoll.Run(g2, tripoll.SurveyOptions{}, nil); err != nil {
+		t.Fatal(err)
+	} else if res.Triangles != 1 {
 		t.Fatalf("materialized window count = %d, want 1", res.Triangles)
 	}
 }

@@ -16,15 +16,6 @@ func NewSurvey[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, cb Callback[VM,
 	return core.NewSurvey(g, opts, cb)
 }
 
-// Count runs the simple triangle-counting survey of Alg. 2 (a survey with
-// no callback).
-//
-// Deprecated: equivalent to Run(g, opts, nil); kept as the conventional
-// name for the bare count.
-func Count[VM, EM any](g *Graph[VM, EM], opts SurveyOptions) Result {
-	return core.Count(g, opts)
-}
-
 // SurveyPlan declares which triangles a survey cares about — edge-metadata
 // predicates (WhereEdge), temporal δ-windows (CloseWithin) and sliding
 // time windows (From/Until/Window) — and compiles them into filters pushed
@@ -51,7 +42,7 @@ func NewSurveyPlan[EM any]() *SurveyPlan[EM] { return core.NewPlan[EM]() }
 // BuildTemporal configuration) with the timestamp accessor pre-installed:
 //
 //	plan := tripoll.NewTemporalPlan().CloseWithin(3600) // δ-window: 1h
-//	res, _ := tripoll.WindowedCount(g, plan, tripoll.SurveyOptions{})
+//	res, _ := tripoll.Run(g, tripoll.SurveyOptions{}, plan)
 func NewTemporalPlan() *SurveyPlan[uint64] { return core.TemporalPlan() }
 
 // ErrPlanNoTimestamps is returned when a plan sets a temporal constraint
@@ -65,89 +56,14 @@ func NewPlannedSurvey[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, plan *Su
 	return core.NewPlannedSurvey(g, opts, plan, cb)
 }
 
-// WindowedCount counts plan-matching triangles — the δ-windowed /
-// time-windowed / metadata-filtered analog of Count. Result.Triangles is
-// the matching count.
-//
-// Deprecated: equivalent to Run(g, opts, plan); kept as the conventional
-// name for the bare windowed count.
-func WindowedCount[VM, EM any](g *Graph[VM, EM], plan *SurveyPlan[EM], opts SurveyOptions) (Result, error) {
-	return core.WindowedCount(g, plan, opts)
-}
-
-// WindowedClosureTimes is ClosureTimes restricted to plan-matching
-// triangles, with the plan pushed down into the communication phases.
-//
-// Deprecated: use Run with ClosureTimeAnalysis and a plan, which fuses
-// with other analyses in one traversal.
-func WindowedClosureTimes[VM any](g *Graph[VM, uint64], plan *SurveyPlan[uint64], opts SurveyOptions) (*Joint2D, Result, error) {
-	return core.WindowedClosureTimes(g, plan, opts)
-}
-
-// WindowedMaxEdgeLabelDistribution is MaxEdgeLabelDistribution restricted
-// to plan-matching triangles; the plan's predicates range over edge labels.
-//
-// Deprecated: use Run with MaxEdgeLabelAnalysis and a plan, which fuses
-// with other analyses in one traversal.
-func WindowedMaxEdgeLabelDistribution[VM comparable](g *Graph[VM, uint64], plan *SurveyPlan[uint64], opts SurveyOptions) (map[uint64]uint64, Result, error) {
-	return core.WindowedMaxEdgeLabelDistribution(g, plan, opts)
-}
-
-// LocalVertexCounts computes per-vertex triangle participation counts and
-// gathers the global map — the primitive behind truss decomposition and
-// clustering coefficients (§5.3).
-//
-// Deprecated: use Run with VertexCountAnalysis, which fuses with other
-// analyses in one traversal.
-func LocalVertexCounts[VM, EM any](g *Graph[VM, EM], opts SurveyOptions) (map[uint64]uint64, Result) {
-	return core.LocalVertexCounts(g, opts)
-}
-
 // ClusteringStats summarizes clustering coefficients.
 type ClusteringStats = core.ClusteringStats
-
-// ClusteringCoefficients derives average and global clustering
-// coefficients from local triangle counts.
-//
-// Deprecated: use Run with ClusteringAnalysis, which fuses with other
-// analyses in one traversal.
-func ClusteringCoefficients[VM, EM any](g *Graph[VM, EM], opts SurveyOptions) (ClusteringStats, Result) {
-	return core.ClusteringCoefficients(g, opts)
-}
-
-// MaxEdgeLabelDistribution is Alg. 3: among triangles with pairwise
-// distinct vertex labels, the distribution of the maximum edge label.
-//
-// Deprecated: use Run with MaxEdgeLabelAnalysis, which fuses with other
-// analyses in one traversal.
-func MaxEdgeLabelDistribution[VM comparable](g *Graph[VM, uint64], opts SurveyOptions) (map[uint64]uint64, Result) {
-	return core.MaxEdgeLabelDistribution(g, opts)
-}
 
 // Joint2D is a two-dimensional bucket histogram (the Fig. 6 artifact).
 type Joint2D = stats.Joint2D
 
-// ClosureTimes is Alg. 4 (the §5.7 Reddit survey): for each triangle with
-// edge timestamps t1 ≤ t2 ≤ t3, counts the joint ceil-log₂ bucket pair of
-// the wedge opening time (t2−t1) and triangle closing time (t3−t1).
-//
-// Deprecated: use Run with ClosureTimeAnalysis, which fuses with other
-// analyses in one traversal.
-func ClosureTimes[VM any](g *Graph[VM, uint64], opts SurveyOptions) (*Joint2D, Result) {
-	return core.ClosureTimes(g, opts)
-}
-
 // DegreeTriple is a log₂-bucketed degree 3-tuple (§5.9).
 type DegreeTriple = core.DegreeTriple
-
-// DegreeTriples counts log₂-bucketed degree triples across all triangles;
-// vertex metadata must hold each vertex's degree (§5.9's configuration).
-//
-// Deprecated: use Run with DegreeTripleAnalysis, which fuses with other
-// analyses in one traversal.
-func DegreeTriples[EM any](g *Graph[uint64, EM], opts SurveyOptions) (map[DegreeTriple]uint64, Result) {
-	return core.DegreeTriples(g, opts)
-}
 
 // GraphInfo is the Tab. 1 row for a built graph.
 type GraphInfo struct {

@@ -28,13 +28,13 @@
 //	    gg := b.Build(r)
 //	    if r.ID() == 0 { g = gg }
 //	})
-//	res := tripoll.Count(g, tripoll.SurveyOptions{})
+//	res, _ := tripoll.Run(g, tripoll.SurveyOptions{}, nil)
 //	fmt.Println(res.Triangles) // 1
 //
 // Surveys can carry a SurveyPlan — edge-metadata predicates, temporal
 // δ-windows and sliding time windows compiled into filters that prune
 // communication before it leaves the rank (predicate pushdown; DESIGN.md
-// §7). See NewTemporalPlan, WindowedCount and friends.
+// §7). See NewTemporalPlan and Run.
 //
 // Every stock survey is also available as an Analysis value; Run fuses any
 // number of them into a single traversal, so asking k questions costs one
@@ -60,7 +60,6 @@
 package tripoll
 
 import (
-	"tripoll/internal/container"
 	"tripoll/internal/core"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
@@ -138,13 +137,10 @@ type GraphBuilder[VM, EM any] = graph.Builder[VM, EM]
 // BuilderOptions configures partitioning and multi-edge merging.
 type BuilderOptions[EM any] = graph.BuilderOptions[EM]
 
-// Partitioners for vertex placement. SpanPartition confines a graph to a
-// rank span — the placement replicated graphs (Engine.RegisterReplicated)
-// build each copy with.
+// Partitioners for vertex placement.
 type (
 	HashPartition   = graph.HashPartition
 	CyclicPartition = graph.CyclicPartition
-	SpanPartition   = graph.SpanPartition
 )
 
 // OrderingStrategy selects the vertex order <+ that orients the input into
@@ -174,27 +170,6 @@ type TemporalEdge = graph.TemporalEdge
 var (
 	ReadEdgeListFile  = graph.ReadEdgeListFile
 	WriteEdgeListFile = graph.WriteEdgeListFile
-)
-
-// Counter is the distributed counting set of §4.1.4 — the standard
-// accumulator for survey callbacks.
-type Counter[K comparable] = container.Counter[K]
-
-// CounterOptions tunes the counting set's per-rank cache.
-type CounterOptions = container.CounterOptions
-
-// NewCounter creates a distributed counting set. Call outside Parallel
-// regions.
-func NewCounter[K comparable](w *World, codec Codec[K], opts CounterOptions) *Counter[K] {
-	return container.NewCounter(w, codec, opts)
-}
-
-// Map and Bag re-export the remaining YGM-style containers for custom
-// survey pipelines.
-type (
-	Map[K comparable, V any] = container.Map[K, V]
-	Bag[T any]               = container.Bag[T]
-	Set[K comparable]        = container.Set[K]
 )
 
 // AllReduceSum and friends are the collective operations available between

@@ -13,7 +13,10 @@ func TestQuickstartCount(t *testing.T) {
 	w := tripoll.NewWorld(3)
 	defer w.Close()
 	g := tripoll.BuildSimple(w, [][2]uint64{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	res := tripoll.Count(g, tripoll.SurveyOptions{})
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 1 {
 		t.Errorf("triangles = %d, want 1", res.Triangles)
 	}
@@ -49,7 +52,11 @@ func TestPublicTemporalClosure(t *testing.T) {
 		{U: 0, V: 1, Time: 50}, // duplicate — keeps the earlier timestamp
 	}
 	g := tripoll.BuildTemporal(w, edges)
-	joint, res := tripoll.ClosureTimes(g, tripoll.SurveyOptions{})
+	var joint *tripoll.Joint2D
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.ClosureTimeAnalysis[tripoll.Unit]().Bind(&joint))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Triangles != 1 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}
@@ -60,48 +67,25 @@ func TestPublicTemporalClosure(t *testing.T) {
 	}
 }
 
-func TestPublicCounterInCallback(t *testing.T) {
-	w := tripoll.NewWorld(3)
-	defer w.Close()
-	g := tripoll.BuildSimple(w, gen.Complete(5))
-	counter := tripoll.NewCounter[uint64](w, tripoll.Uint64Codec(), tripoll.CounterOptions{})
-	s := tripoll.NewSurvey(g, tripoll.SurveyOptions{},
-		func(r *tripoll.Rank, tri *tripoll.Triangle[tripoll.Unit, tripoll.Unit]) {
-			counter.Inc(r, tri.P) // pivot participation counts
-		})
-	res := s.Run()
-	var total uint64
-	w.Parallel(func(r *tripoll.Rank) {
-		counter.Barrier(r)
-		sum := tripoll.AllReduceSum(r, func() uint64 {
-			var s uint64
-			for _, v := range counter.LocalShard(r) {
-				s += v
-			}
-			return s
-		}())
-		if r.ID() == w.LeaderID() {
-			total = sum
-		}
-	})
-	if total != res.Triangles {
-		t.Errorf("pivot counts %d != triangles %d", total, res.Triangles)
-	}
-}
-
 func TestPublicClusteringAndLocalCounts(t *testing.T) {
 	w := tripoll.NewWorld(2)
 	defer w.Close()
 	g := tripoll.BuildSimple(w, gen.Complete(5))
-	counts, _ := tripoll.LocalVertexCounts(g, tripoll.SurveyOptions{})
+	var counts map[uint64]uint64
+	if _, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.VertexCountAnalysis[tripoll.Unit, tripoll.Unit]().Bind(&counts)); err != nil {
+		t.Fatal(err)
+	}
 	for v := uint64(0); v < 5; v++ {
 		if counts[v] != 6 { // each K5 vertex is in C(4,2) = 6 triangles
 			t.Errorf("t(%d) = %d, want 6", v, counts[v])
 		}
 	}
-	cs, _ := tripoll.ClusteringCoefficients(g, tripoll.SurveyOptions{})
-	if cs.Average != 1 || cs.Global != 1 {
-		t.Errorf("K5 clustering = %+v", cs)
+	var cs tripoll.ClusteringAccum
+	if _, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, tripoll.ClusteringAnalysis(g).Bind(&cs)); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Stats.Average != 1 || cs.Stats.Global != 1 {
+		t.Errorf("K5 clustering = %+v", cs.Stats)
 	}
 }
 
@@ -112,7 +96,9 @@ func TestPublicWorldOptions(t *testing.T) {
 	}
 	defer w.Close()
 	g := tripoll.BuildSimple(w, gen.Complete(4))
-	if res := tripoll.Count(g, tripoll.SurveyOptions{}); res.Triangles != 4 {
+	if res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil); err != nil {
+		t.Fatal(err)
+	} else if res.Triangles != 4 {
 		t.Errorf("tcp world count = %d", res.Triangles)
 	}
 	if _, err := tripoll.NewWorldWith(0, tripoll.WorldOptions{}); err == nil {
@@ -142,7 +128,7 @@ func TestPublicWindowedSurveys(t *testing.T) {
 	}
 	g := tripoll.BuildTemporal(w, edges)
 
-	res, err := tripoll.WindowedCount(g, tripoll.NewTemporalPlan().CloseWithin(50), tripoll.SurveyOptions{})
+	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, tripoll.NewTemporalPlan().CloseWithin(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +139,9 @@ func TestPublicWindowedSurveys(t *testing.T) {
 		t.Errorf("pushdown inactive: planned=%v pruned=%d/%d", res.Planned, res.PrunedBatches, res.PrunedCandidates)
 	}
 
-	joint, cres, err := tripoll.WindowedClosureTimes(g, tripoll.NewTemporalPlan().Window(100, 400), tripoll.SurveyOptions{})
+	var joint *tripoll.Joint2D
+	cres, err := tripoll.Run(g, tripoll.SurveyOptions{}, tripoll.NewTemporalPlan().Window(100, 400),
+		tripoll.ClosureTimeAnalysis[tripoll.Unit]().Bind(&joint))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +150,7 @@ func TestPublicWindowedSurveys(t *testing.T) {
 	}
 
 	// Temporal constraints without a Timestamps accessor are rejected.
-	if _, err := tripoll.WindowedCount(g, tripoll.NewSurveyPlan[uint64]().CloseWithin(1), tripoll.SurveyOptions{}); err != tripoll.ErrPlanNoTimestamps {
+	if _, err := tripoll.Run(g, tripoll.SurveyOptions{}, tripoll.NewSurveyPlan[uint64]().CloseWithin(1)); err != tripoll.ErrPlanNoTimestamps {
 		t.Errorf("invalid plan error = %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package tripoll
 
 import (
-	"tripoll/internal/graph"
 	"tripoll/internal/truss"
 )
 
@@ -101,13 +100,3 @@ func WindowSpanTruss[VM any](g *Graph[VM, uint64], k int, spans []TrussWindow, o
 // arguments: k outside [2, MaxInt32], more than truss.MaxSpans (64) spans,
 // an inverted span. tripolld answers it with 400 Bad Request.
 var ErrBadSpanTrussArgs = truss.ErrBadSpanTrussArgs
-
-// DecodeTrussIndexSnapshot parses a TrussIndex store snapshot (the TPTI1
-// codec); corrupt input returns an error wrapping ErrTrussIndexCorrupt,
-// never a panic.
-func DecodeTrussIndexSnapshot(data []byte) (*graph.TriSpanStore, error) {
-	return graph.DecodeTriSpanSnapshot(data)
-}
-
-// ErrTrussIndexCorrupt is the base class of truss-index snapshot damage.
-var ErrTrussIndexCorrupt = graph.ErrTriSpanCorrupt
