@@ -58,8 +58,8 @@ func TemporalPlan() *Plan[uint64] {
 //
 // pred must be a pure function of the metadata. A survey evaluates it once
 // per adjacency entry (not once per wedge the entry takes part in) into its
-// plan columns, keeps the answer for every Run of that Survey, and asks
-// again only in the match-time residual (MatchEdges) before a callback. A
+// ok column, keeps the answer for every Run of that Survey, and asks again
+// only in the match-time residual (MatchEdges) before a callback. A
 // predicate whose answer changes between calls cannot corrupt a message —
 // header counts and payloads are written from the one recorded answer — but
 // which triangles it then selects is unspecified.
@@ -71,7 +71,12 @@ func (p *Plan[EM]) WhereEdge(pred func(EM) bool) *Plan[EM] {
 // Timestamps installs the accessor that extracts a timestamp from edge
 // metadata, enabling the temporal constraints. The last call wins. Like a
 // WhereEdge predicate, timeOf must be a pure function of the metadata: it is
-// evaluated once per adjacency entry per survey, and again at match time.
+// evaluated once per adjacency entry per snapshot, into timestamp columns
+// the snapshot keeps for every later survey that passes the same func value
+// (graph.DODGr.Times), and again at match time. Pass one value — a named
+// function, a literal without captures, or one closure kept and reused:
+// every capturing closure a program makes is a new value, with columns of
+// its own that live as long as the snapshot.
 func (p *Plan[EM]) Timestamps(timeOf func(EM) uint64) *Plan[EM] {
 	p.timeOf = timeOf
 	return p
@@ -209,26 +214,18 @@ func (p *Plan[EM]) compile() planFilters[EM] {
 	}
 }
 
-// column evaluates everything the plan says about one edge on its own, for
-// a survey's plan columns (planCols): the edge's timestamp (0 without a
-// Timestamps accessor, or when ok is false) and whether the edge passes the
-// single-edge filter — ok is exactly edgeOK(em). The accessor and each
-// predicate are called at most once.
-func (f *planFilters[EM]) column(em EM) (ts uint64, ok bool) {
+// column is the single-edge filter for a survey's ok column (planCols):
+// exactly edgeOK(em), given the entry's timestamp ts read from the
+// snapshot's column (ignored without a sliding window). Each predicate is
+// called at most once, the accessor never.
+func (f *planFilters[EM]) column(em EM, ts uint64) bool {
 	p := &f.plan
 	for _, pred := range p.edgePreds {
 		if !pred(em) {
-			return 0, false
+			return false
 		}
 	}
-	if p.timeOf == nil {
-		return 0, true
-	}
-	ts = p.timeOf(em)
-	if (p.hasStart && ts < p.start) || (p.hasEnd && ts > p.end) {
-		return 0, false
-	}
-	return ts, true
+	return !(p.hasStart && ts < p.start) && !(p.hasEnd && ts > p.end)
 }
 
 // edge applies the single-edge filter (trivially true when inactive). The

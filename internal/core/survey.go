@@ -133,10 +133,13 @@ type pullEntry[EM any] struct {
 }
 
 type rankState[VM, EM any] struct {
-	// sc holds the negotiation tables, plan columns and survivor list (see
-	// surveyScratch); nil until the first Run, and for ranks other processes
-	// host.
+	// sc holds the negotiation tables, the buffers of the survey's own
+	// columns and the survivor list (see surveyScratch); nil until the first
+	// Run, and for ranks other processes host.
 	sc *surveyScratch
+	// cols is the rank's plan columns: the snapshot's, plus ok and parked
+	// in sc's buffers (see planCols).
+	cols planCols
 
 	// Work accounting.
 	triangles   uint64
@@ -170,18 +173,19 @@ func NewSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, cb Callback[VM,
 
 // Close releases the survey's four handlers — and with them the survey and
 // the graph it reaches, which the world's handler table would otherwise pin
-// for as long as the world lives — and returns each rank's scratch (plan
-// columns, negotiation tables) to the pool the next survey draws from. Call
-// outside parallel regions once the last Run has returned; the survey must
-// not run afterwards.
+// for as long as the world lives — and returns each rank's scratch (column
+// buffers, negotiation tables) to the pool the next survey draws from; the
+// snapshot's columns stay with the snapshot. Call outside parallel regions
+// once the last Run has returned; the survey must not run afterwards.
 func (s *Survey[VM, EM]) Close() {
 	s.w.ReleaseHandlers(s.hPush, s.hPropose, s.hDecline, s.hPull)
 	for i := range s.state {
-		if sc := s.state[i].sc; sc != nil {
-			sc.cols.built = false
-			scratchPool.Put(sc)
-			s.state[i].sc = nil
+		st := &s.state[i]
+		if st.sc != nil {
+			scratchPool.Put(st.sc)
+			st.sc = nil
 		}
+		st.cols = planCols{}
 	}
 }
 
@@ -307,38 +311,53 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 
 // --- Plan columns -------------------------------------------------------
 
-// columns returns rank r's plan columns, building them on the survey's first
-// planned phase: one pass over the rank's adjacency entries that calls the
-// plan's accessor and predicates once each per entry. Every phase body calls
-// it before its first ygm call (see planCols); nil without a plan.
+// columns returns rank r's plan columns, taking them on the survey's first
+// planned phase: the snapshot's offsets and, for a plan with a temporal
+// constraint, its timestamp columns for the plan's accessor (built there by
+// the first survey to ask, one accessor call per entry); and, for a plan
+// with an edge filter, the survey's own ok column, one call of each
+// predicate per entry. Every phase body calls it before its first ygm call
+// (see planCols); nil without a plan.
 func (s *Survey[VM, EM]) columns(r *ygm.Rank) *planCols {
 	if !s.plan.active {
 		return nil
 	}
-	c := &s.state[r.ID()].sc.cols
+	st := &s.state[r.ID()]
+	c := &st.cols
 	if c.built {
 		return c
 	}
-	verts := s.g.LocalVertices(r)
-	n := 0
-	for vi := range verts {
-		n += len(verts[vi].Adj)
+	sc, p := st.sc, &s.plan.plan
+	c.off = s.g.Offsets(r)
+	n := int(c.off[len(c.off)-1])
+	var times graph.EdgeTimes
+	if p.hasDelta || p.hasStart || p.hasEnd { // Validate saw to an accessor
+		times = s.g.Times(r, p.timeOf)
 	}
-	c.resize(len(verts), n)
-	k := 0
-	for vi := range verts {
-		c.off[vi] = int32(k)
-		adj := verts[vi].Adj
-		for j := range adj {
-			c.ts[k], c.ok[k] = s.plan.column(adj[j].EMeta)
-			k++
-		}
-	}
-	c.off[len(verts)] = int32(k)
 	c.delta = noDelta
 	if s.plan.hasPair {
-		c.delta = s.plan.plan.delta
+		c.delta = p.delta
+		c.ts, c.gap = times.TS, times.Gap
 	}
+	if s.plan.hasEdge {
+		sc.ok = slices.Grow(sc.ok[:0], n)[:n]
+		verts := s.g.LocalVertices(r)
+		for vi := range verts {
+			adj, k := verts[vi].Adj, int(c.off[vi])
+			for j := range adj {
+				var t uint64
+				if times.TS != nil {
+					t = times.TS[k+j]
+				}
+				sc.ok[k+j] = s.plan.column(adj[j].EMeta, t)
+			}
+		}
+		c.ok = sc.ok
+	}
+	words := (n + 63) / 64
+	sc.parked = slices.Grow(sc.parked[:0], words)[:words]
+	clear(sc.parked)
+	c.parked = sc.parked
 	c.built = true
 	return c
 }
@@ -357,10 +376,9 @@ func (s *Survey[VM, EM]) columns(r *ygm.Rank) *planCols {
 // never proposed: their true push cost is zero, and omitting them keeps
 // the dry run's negotiation honest. Surviving wedges propose their
 // *unfiltered* suffix length, a cheap upper bound on the materialized push.
-// The survival scan reads the plan columns and stops at the first passing
-// candidate; for a fully-pruned wedge — the common case under a narrow δ —
-// it runs to the end of the suffix, so the dry run is O(out-degree) column
-// reads per wedge there, but never a predicate call.
+// The survival test reads the plan columns (planCols.dead): one word of the
+// snapshot's gap column settles a δ-only plan's batch; an edge filter adds
+// a scan that stops at the first passing candidate. Never a predicate call.
 func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
 	st := &s.state[r.ID()]
 	sc := st.sc
@@ -378,7 +396,7 @@ func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
 			if cols != nil {
 				// Fully-pruned wedges are accounted here, once: the push
 				// phase skips them silently in push-pull mode.
-				if !cols.ok[base+j] || !cols.anyAlive(base+j, base+n) {
+				if cols.dead(base+j, base+n) {
 					st.prunedBatches++
 					st.prunedCands += rest
 					continue
@@ -416,7 +434,7 @@ func (s *Survey[VM, EM]) onPropose(r *ygm.Rank, d *serialize.Decoder) {
 	}
 	adjLen := len(s.g.LocalVertices(r)[vi].Adj)
 	if s.plan.hasEdge {
-		adjLen = sc.cols.countOK(vi)
+		adjLen = s.state[r.ID()].cols.countOK(vi)
 	}
 	if float64(adjLen)*s.opts.PullFactor < float64(vol) {
 		sc.grants = append(sc.grants, pullGrant{vert: vi, src: int32(src)})
@@ -448,9 +466,11 @@ func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 // the edge filter is never enqueued, candidates failing the candidate
 // filter are dropped before encoding (the surviving subsequence stays
 // sorted, so onPush's merge path is untouched), and a batch whose suffix
-// empties is never enqueued either. In Push-Pull mode the dry run has
-// already made (and accounted) both decisions and left one parked bit per
-// batch it proposed, so a batch without the bit is skipped on that bit alone.
+// empties is never enqueued either. In Push-Only mode a batch that
+// planCols.cut rules out is skipped on one column read, before its suffix is
+// scanned. In Push-Pull mode the dry run has already made (and accounted)
+// both decisions and left one parked bit per batch it proposed, so a batch
+// without the bit is skipped on that bit alone.
 func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 	st := &s.state[r.ID()]
 	sc := st.sc
@@ -471,7 +491,7 @@ func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 					if !cols.isParked(base + j) {
 						continue // fully pruned: nothing was proposed, nothing to ask
 					}
-				} else if !cols.ok[base+j] {
+				} else if cols.cut(base + j) {
 					st.prunedBatches++
 					st.prunedCands += uint64(n - j - 1)
 					continue
@@ -709,7 +729,9 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 		e, tq := 0, uint64(0)
 		if cols != nil {
 			e = int(cols.off[ref.vert] + ref.pos)
-			tq = cols.ts[e]
+			if cols.ts != nil {
+				tq = cols.ts[e]
+			}
 		}
 		k := 0
 		for i := range suffix {

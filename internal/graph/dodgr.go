@@ -52,11 +52,19 @@ func (v *Vertex[VM, EM]) OutDeg() int { return len(v.Adj) }
 // arenas — one per build or load, a few per stream snapshot (Orienter) — so
 // a survey's sequential sweep over vertices walks memory in order instead of
 // chasing per-vertex allocations. Neither the table, the index nor an arena
-// is written once published.
+// is written once published. The snapshot columns (off, times; see
+// timecols.go) are derived from it lazily, once each.
 type rankLocal[VM, EM any] struct {
 	index   map[uint64]int32 // position of each vertex of verts[:indexed]
 	indexed int32
 	verts   []Vertex[VM, EM]
+
+	off   []int32          // CSR offsets of verts' entries, nil until Offsets
+	times []timesEntry[EM] // per accessor, in first-use order
+	// inherit is what a stream snapshot keeps of the previous snapshot's
+	// columns (see inheritTimes) until its first Times call; nil for a built
+	// or loaded graph.
+	inherit *inheritedTimes[EM]
 }
 
 // find returns the position of vertex id in the table. Vertices past the
@@ -173,7 +181,8 @@ func (g *DODGr[VM, EM]) SelfLoopsDropped() uint64 { return g.selfLoopsDropped }
 func (g *DODGr[VM, EM]) MultiEdgesMerged() uint64 { return g.multiEdgesMerged }
 
 // AsSnapshot returns g as the snapshot of its own edge set: the same shards
-// (shared; both graphs are immutable) and figures, less the ingest tallies —
+// (shared; both graphs are immutable), and with them the same snapshot
+// columns (Offsets, Times), and figures, less the ingest tallies —
 // self-loops dropped and duplicates merged — which a graph oriented from
 // live edges has none of. It is what a stream materializes before its first
 // mutation.

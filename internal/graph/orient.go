@@ -45,6 +45,7 @@ type Orienter[VM, EM any] struct {
 	hBound ygm.HandlerID
 
 	g        *DODGr[VM, EM] // graph of the stage in progress
+	snap     *DODGr[VM, EM] // graph the last Snapshot returned
 	oriented uint64         // half-edges the last stage oriented, world-wide
 	st       []orientState[VM, EM]
 }
@@ -497,6 +498,7 @@ func (o *Orienter[VM, EM]) reorient(r *ygm.Rank, everything, compact bool) (int,
 // previous snapshot's. It returns the graph and the half-edges the stage
 // decided. Collective; call outside parallel regions.
 func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Ordering) (*DODGr[VM, EM], uint64) {
+	last := o.snap
 	o.begin()
 	g := o.g
 	o.w.Parallel(func(r *ygm.Rank) {
@@ -556,8 +558,11 @@ func (o *Orienter[VM, EM]) Snapshot(shards []*StreamShard[VM, EM], ordering Orde
 		rl.verts, rl.index, rl.indexed = verts, index, indexed
 		st.shard, st.order = sh, order
 		o.orient(r, ordering, 0, 0)
+		if last != nil {
+			rl.inherit = inheritTimes(&last.local[r.ID()], rl)
+		}
 	})
-	o.g = nil
+	o.g, o.snap = nil, g
 	return g, o.oriented
 }
 

@@ -28,9 +28,11 @@ func NewSurvey[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, cb Callback[VM,
 // `tripoll-bench -exp pushdown` measures.
 //
 // WhereEdge predicates and the Timestamps accessor must be pure functions of
-// the edge metadata: a survey evaluates them once per adjacency entry (not
-// once per wedge), keeps the answers for every Run of that survey, and asks
-// again only in MatchEdges before a callback fires.
+// the edge metadata: a survey evaluates each predicate once per adjacency
+// entry (not once per wedge) and keeps the answers for every Run of that
+// survey; the accessor is evaluated once per adjacency entry per graph, and
+// its answers are kept for every survey that passes the same func value.
+// Both are asked again only in MatchEdges before a callback fires.
 type SurveyPlan[EM any] = core.Plan[EM]
 
 // NewSurveyPlan returns an empty plan over the graph's edge-metadata type;
