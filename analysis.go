@@ -22,11 +22,11 @@ import (
 // Analysis describes one triangle analysis as a first-class value; see
 // the stock constructors below and core.Analysis for the contract each
 // field must satisfy. Bind it to an output destination to attach it to a
-// Run.
+// Run or a Stream.
 type Analysis[VM, EM, T any] = core.Analysis[VM, EM, T]
 
 // AttachedAnalysis is an Analysis bound to its output via Bind, ready to
-// fuse into a Run.
+// fuse into a Run or to attach to a Stream.
 type AttachedAnalysis[VM, EM any] = core.Attached[VM, EM]
 
 // Run executes every attached analysis in one fused traversal of g,

@@ -406,7 +406,7 @@ func (a *app) runFused(w *tripoll.World, edges []tripoll.TemporalEdge, tmpl trip
 // runStream is the streaming path: time-sorted batches through OpenStream,
 // a per-batch maintenance line, then the final snapshot of every analysis.
 func (a *app) runStream(w *tripoll.World, edges []tripoll.TemporalEdge, opts tripoll.SurveyOptions, plan *tripoll.SurveyPlan[uint64], names []string, batches int, window int64) {
-	var attached []tripoll.AttachedStreamAnalysis[tripoll.Unit, uint64]
+	var attached []tripoll.AttachedAnalysis[tripoll.Unit, uint64]
 	var printers []func()
 	for _, name := range names {
 		switch name {
@@ -414,17 +414,17 @@ func (a *app) runStream(w *tripoll.World, edges []tripoll.TemporalEdge, opts tri
 			// The stream maintains the net count itself.
 		case "closure", "wclosure":
 			joint := new(*tripoll.Joint2D)
-			attached = append(attached, tripoll.StreamClosureTimeAnalysis[tripoll.Unit]().Bind(joint))
+			attached = append(attached, tripoll.ClosureTimeAnalysis[tripoll.Unit]().Bind(joint))
 			print := a.closurePrinter()
 			printers = append(printers, func() { print(*joint) })
 		case "localcounts":
 			counts := new(map[uint64]uint64)
-			attached = append(attached, tripoll.StreamVertexCountAnalysis[tripoll.Unit, uint64]().Bind(counts))
+			attached = append(attached, tripoll.VertexCountAnalysis[tripoll.Unit, uint64]().Bind(counts))
 			print := a.vertexCountPrinter()
 			printers = append(printers, func() { print(*counts) })
 		case "labels":
 			dist := new(map[uint64]uint64)
-			attached = append(attached, tripoll.StreamMaxEdgeLabelAnalysis[tripoll.Unit](false).Bind(dist))
+			attached = append(attached, tripoll.MaxEdgeLabelAnalysis[tripoll.Unit](false).Bind(dist))
 			print := a.labelPrinter()
 			printers = append(printers, func() { print(*dist) })
 		case "cc", "edgecounts", "trussness", "maxtruss", "spantruss":

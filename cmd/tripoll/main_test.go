@@ -103,11 +103,12 @@ func TestFusedSurveyRuns(t *testing.T) {
 func TestStreamModeRuns(t *testing.T) {
 	code, out, errOut := runCLI(t,
 		"-gen", "reddit", "-size", "3000", "-ranks", "2",
-		"-survey", "count,closure", "-stream", "3", "-window", "100000")
+		"-survey", "count,closure,localcounts,labels", "-stream", "3", "-window", "100000")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr = %q", code, errOut)
 	}
-	for _, want := range []string{"streaming", "batch 0:", "batch 2:", "live triangles after 3 batches", "closing time distribution"} {
+	for _, want := range []string{"streaming", "batch 0:", "batch 2:", "live triangles after 3 batches", "closing time distribution",
+		"top triangle-participating vertices:", "max edge label/timestamp distribution"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q:\n%s", want, out)
 		}

@@ -42,7 +42,7 @@ func TestStreamIngestAllocBudget(t *testing.T) {
 			}
 			return b
 		}},
-		TemporalPlan(), StreamCountAnalysis[serialize.Unit, uint64]().Bind(&count))
+		TemporalPlan(), CountAnalysis[serialize.Unit, uint64]().Bind(&count))
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)
 	}

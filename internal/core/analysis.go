@@ -22,7 +22,10 @@ import (
 
 // Analysis describes one triangle analysis as a first-class value. VM and
 // EM are the surveyed graph's vertex and edge metadata types; T is both the
-// per-rank accumulator and the analysis result.
+// per-rank accumulator and the analysis result. One value serves both
+// lifecycles: Run (start, observe, reduce, finish, once) and a Stream
+// (start, then signed observes across every batch, and at each Snapshot a
+// reduce and finish over clones of the live accumulators).
 //
 // Observe runs on the goroutine of the rank where each triangle was
 // identified, exactly like a survey Callback: it may read rank-local state
@@ -36,9 +39,23 @@ import (
 // required whenever the world has more than one rank.
 //
 // Finalize post-processes the fully merged accumulator into the published
-// result; nil means identity. It runs once, outside parallel regions, so it
-// may itself use collectives or Parallel (ClusteringAnalysis does, for its
-// degree pass).
+// result; nil means identity. It runs once per reduction, outside parallel
+// regions, so it may itself use collectives or Parallel
+// (ClusteringAnalysis does, for its degree pass).
+//
+// A stream adds two contracts:
+//
+//   - Observe and Unobserve must be presentation-independent: a stream
+//     enumerates triangles with vertices in id order, while a full
+//     traversal presents them in <+ order, and the two must accumulate
+//     identically (every stock analysis is symmetric in the three
+//     vertices, so this is the natural shape).
+//   - Per-rank accumulators form a group under Observe, Unobserve and
+//     Merge: a triangle may be retired on a different rank than the one
+//     that observed it, so a rank-local value may transiently hold an
+//     inverse (a wrapped counter, a huge map entry). Only the merged
+//     accumulator is meaningful, and Finalize prunes its cancelled residue
+//     (zero-valued entries), so the result deep-equals a fresh Run's.
 type Analysis[VM, EM, T any] struct {
 	// Name identifies the analysis in Result.Analyses, bench records and
 	// ablation output.
@@ -48,29 +65,43 @@ type Analysis[VM, EM, T any] struct {
 	NewAccum func() T
 	// Observe folds one triangle into the rank's accumulator.
 	Observe func(r *ygm.Rank, acc T, t *Triangle[VM, EM]) T
+	// Unobserve reverses Observe for one triangle: after Unobserve of every
+	// observed triangle, the merged and finalized accumulator equals one
+	// that never saw them. Nil marks the analysis non-invertible: a stream
+	// then answers every expiry with an epoch rebuild.
+	Unobserve func(r *ygm.Rank, acc T, t *Triangle[VM, EM]) T
 	// Merge combines two rank accumulators (commutative, associative).
 	Merge func(a, b T) T
 	// Finalize turns the merged accumulator into the result; nil = identity.
 	Finalize func(merged T) T
+	// Clone deep-copies an accumulator, so a stream snapshot reduces
+	// copies and the live accumulators keep folding the next batch.
+	// Required on a stream when NewAccum is set; nil declares value
+	// semantics (plain assignment copies).
+	Clone func(T) T
 }
 
 // Bind attaches the analysis to an output destination, producing the
-// opaque handle Run consumes. When Run returns, *out holds the finalized
-// result. A bound handle is single-use: it carries the accumulators of one
-// run.
+// opaque handle Run and OpenStream consume. When Run returns, *out holds
+// the finalized result, and the handle is spent. A stream keeps the handle
+// for its lifetime and re-publishes the current result into *out at every
+// Snapshot.
 func (a Analysis[VM, EM, T]) Bind(out *T) Attached[VM, EM] {
 	return &bound[VM, EM, T]{a: a, out: out}
 }
 
-// Attached is an Analysis bound to its output, ready to fuse into a Run.
-// Only Analysis.Bind produces values of this type.
+// Attached is an Analysis bound to its output, ready to fuse into a Run or
+// a Stream. Only Analysis.Bind produces values of this type.
 type Attached[VM, EM any] interface {
 	// AnalysisName returns the bound analysis's Name.
 	AnalysisName() string
 
-	validate(nranks int) error
-	start(nranks int)
+	validate(nranks int, stream bool) error
+	start(nranks int) // fresh accumulators (Run, OpenStream, epoch rebuilds)
 	observe(r *ygm.Rank, t *Triangle[VM, EM])
+	unobserve(r *ygm.Rank, t *Triangle[VM, EM])
+	invertible() bool
+	detach() // a stream snapshot: reduce and finish consume clones
 	reduce(r *ygm.Rank)
 	finish()
 }
@@ -78,20 +109,26 @@ type Attached[VM, EM any] interface {
 type bound[VM, EM, T any] struct {
 	a    Analysis[VM, EM, T]
 	out  *T
-	accs []T
+	accs []T // the accumulators observe folds into and reduce combines
+	live []T // a stream's live accumulators while a snapshot reduces clones
 	root int // slot holding the combined accumulator after reduce
 }
 
 func (b *bound[VM, EM, T]) AnalysisName() string { return b.a.Name }
 
 // validate rejects analyses the traversal or reduction would crash on:
-// a missing Observe, or a missing Merge on a multi-rank world.
-func (b *bound[VM, EM, T]) validate(nranks int) error {
+// a missing Observe, a missing Merge on a multi-rank world, and on a
+// stream a reference-typed accumulator without Clone (a snapshot would
+// reduce into the live accumulators).
+func (b *bound[VM, EM, T]) validate(nranks int, stream bool) error {
 	if b.a.Observe == nil {
 		return fmt.Errorf("core: analysis %q has no Observe", b.a.Name)
 	}
 	if nranks > 1 && b.a.Merge == nil {
 		return fmt.Errorf("core: analysis %q has no Merge (required on a %d-rank world)", b.a.Name, nranks)
+	}
+	if stream && b.a.NewAccum != nil && b.a.Clone == nil {
+		return fmt.Errorf("core: analysis %q has NewAccum but no Clone (stream snapshots must not disturb live accumulators)", b.a.Name)
 	}
 	return nil
 }
@@ -108,6 +145,27 @@ func (b *bound[VM, EM, T]) start(nranks int) {
 func (b *bound[VM, EM, T]) observe(r *ygm.Rank, t *Triangle[VM, EM]) {
 	id := r.ID()
 	b.accs[id] = b.a.Observe(r, b.accs[id], t)
+}
+
+func (b *bound[VM, EM, T]) unobserve(r *ygm.Rank, t *Triangle[VM, EM]) {
+	id := r.ID()
+	b.accs[id] = b.a.Unobserve(r, b.accs[id], t)
+}
+
+func (b *bound[VM, EM, T]) invertible() bool { return b.a.Unobserve != nil }
+
+// detach sets the live accumulators aside and puts deep copies in their
+// place, so the reduce and finish of a stream snapshot consume the copies;
+// finish puts the live accumulators back.
+func (b *bound[VM, EM, T]) detach() {
+	b.live = b.accs
+	b.accs = make([]T, len(b.live))
+	for i, acc := range b.live {
+		if b.a.Clone != nil {
+			acc = b.a.Clone(acc)
+		}
+		b.accs[i] = acc
+	}
 }
 
 // reduce tree-reduces the rank accumulators in place: lg(n) levels, each
@@ -170,7 +228,8 @@ func (b *bound[VM, EM, T]) finish() {
 		acc = b.a.Finalize(acc)
 	}
 	*b.out = acc
-	b.accs = nil
+	// A Run drops its accumulators; a stream snapshot gets its live ones back.
+	b.accs, b.live = b.live, nil
 }
 
 // Run executes every attached analysis in a single fused traversal of g:
@@ -191,7 +250,7 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 	w := g.World()
 	names := make([]string, len(analyses))
 	for i, a := range analyses {
-		if err := a.validate(w.Size()); err != nil {
+		if err := a.validate(w.Size(), false); err != nil {
 			return Result{}, err
 		}
 		names[i] = a.AnalysisName()
@@ -217,17 +276,24 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 	defer s.Close()
 	res := s.Run()
 	res.Analyses = names
-	if len(analyses) > 0 {
-		w.Parallel(func(r *ygm.Rank) {
-			for _, a := range analyses {
-				a.reduce(r)
-			}
-		})
-		for _, a := range analyses {
-			a.finish()
-		}
-	}
+	publish(w, analyses)
 	return res, nil
+}
+
+// publish reduces every analysis's accumulators and finalizes each into
+// its output. Call outside parallel regions.
+func publish[VM, EM any](w *ygm.World, analyses []Attached[VM, EM]) {
+	if len(analyses) == 0 {
+		return
+	}
+	w.Parallel(func(r *ygm.Rank) {
+		for _, a := range analyses {
+			a.reduce(r)
+		}
+	})
+	for _, a := range analyses {
+		a.finish()
+	}
 }
 
 // mergeCounts is the standard Merge for map-of-counters accumulators.
@@ -236,4 +302,27 @@ func mergeCounts[K comparable](a, b map[K]uint64) map[K]uint64 {
 		a[k] += v
 	}
 	return a
+}
+
+// decCount reverses one increment of m[k] with wrapping arithmetic,
+// deleting exact zeros (see the group contract on Analysis).
+func decCount[K comparable](m map[K]uint64, k K) {
+	if c := m[k] - 1; c == 0 {
+		delete(m, k)
+	} else {
+		m[k] = c
+	}
+}
+
+// pruneZeroCounts deletes the cancelled (zero-valued) keys a merged map of
+// counters carries when observe and unobserve landed on different ranks; a
+// fresh traversal's accumulator never holds zeros, so pruning makes the
+// two deeply equal.
+func pruneZeroCounts[K comparable](m map[K]uint64) map[K]uint64 {
+	for k, v := range m {
+		if v == 0 {
+			delete(m, k)
+		}
+	}
+	return m
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
 	"tripoll/internal/stats"
@@ -8,7 +10,9 @@ import (
 )
 
 // Stock analyses: the paper's surveys packaged as Analysis values, all
-// fusable into one traversal via Run.
+// fusable into one traversal via Run. Count, VertexCount, MaxEdgeLabel and
+// ClosureTime are invertible as well, so a Stream maintains them through
+// expiry.
 
 // CountAnalysis counts observed triangles. The engine maintains
 // Result.Triangles anyway; attach this when a fused run wants the count
@@ -17,7 +21,9 @@ func CountAnalysis[VM, EM any]() Analysis[VM, EM, uint64] {
 	return Analysis[VM, EM, uint64]{
 		Name:    "count",
 		Observe: func(_ *ygm.Rank, acc uint64, _ *Triangle[VM, EM]) uint64 { return acc + 1 },
-		Merge:   func(a, b uint64) uint64 { return a + b },
+		// Wrapping: a rank's count may dip "negative" (the group contract).
+		Unobserve: func(_ *ygm.Rank, acc uint64, _ *Triangle[VM, EM]) uint64 { return acc - 1 },
+		Merge:     func(a, b uint64) uint64 { return a + b },
 	}
 }
 
@@ -35,7 +41,15 @@ func VertexCountAnalysis[VM, EM any]() Analysis[VM, EM, map[uint64]uint64] {
 			acc[t.R]++
 			return acc
 		},
-		Merge: mergeCounts[uint64],
+		Unobserve: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, EM]) map[uint64]uint64 {
+			decCount(acc, t.P)
+			decCount(acc, t.Q)
+			decCount(acc, t.R)
+			return acc
+		},
+		Merge:    mergeCounts[uint64],
+		Finalize: pruneZeroCounts[uint64],
+		Clone:    maps.Clone[map[uint64]uint64],
 	}
 }
 
@@ -132,24 +146,30 @@ func ClusteringAnalysis[VM, EM any](g *graph.DODGr[VM, EM]) Analysis[VM, EM, Clu
 // the three vertex labels be pairwise distinct; pass false on graphs whose
 // vertices carry no labels (the guard would then reject every triangle).
 func MaxEdgeLabelAnalysis[VM comparable](distinctLabels bool) Analysis[VM, uint64, map[uint64]uint64] {
+	label := func(t *Triangle[VM, uint64]) (uint64, bool) {
+		if distinctLabels && (t.MetaP == t.MetaQ || t.MetaQ == t.MetaR || t.MetaP == t.MetaR) {
+			return 0, false
+		}
+		return max(t.MetaPQ, t.MetaPR, t.MetaQR), true
+	}
 	return Analysis[VM, uint64, map[uint64]uint64]{
 		Name:     "maxlabel",
 		NewAccum: func() map[uint64]uint64 { return make(map[uint64]uint64) },
 		Observe: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, uint64]) map[uint64]uint64 {
-			if distinctLabels && (t.MetaP == t.MetaQ || t.MetaQ == t.MetaR || t.MetaP == t.MetaR) {
-				return acc
+			if l, ok := label(t); ok {
+				acc[l]++
 			}
-			max := t.MetaPQ
-			if t.MetaPR > max {
-				max = t.MetaPR
-			}
-			if t.MetaQR > max {
-				max = t.MetaQR
-			}
-			acc[max]++
 			return acc
 		},
-		Merge: mergeCounts[uint64],
+		Unobserve: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, uint64]) map[uint64]uint64 {
+			if l, ok := label(t); ok {
+				decCount(acc, l)
+			}
+			return acc
+		},
+		Merge:    mergeCounts[uint64],
+		Finalize: pruneZeroCounts[uint64],
+		Clone:    maps.Clone[map[uint64]uint64],
 	}
 }
 
@@ -170,12 +190,25 @@ func ClosureTimeAnalysis[VM any]() Analysis[VM, uint64, *stats.Joint2D] {
 		Name:     "closure",
 		NewAccum: stats.NewJoint2D,
 		Observe: func(_ *ygm.Rank, acc *stats.Joint2D, t *Triangle[VM, uint64]) *stats.Joint2D {
-			t1, t2, t3 := sort3(t.MetaPQ, t.MetaPR, t.MetaQR)
-			acc.Add(int(stats.CeilLog2(t2-t1)), int(stats.CeilLog2(t3-t1)), 1)
+			x, y := closureBuckets(t)
+			acc.Add(x, y, 1)
 			return acc
 		},
-		Merge: (*stats.Joint2D).Merge,
+		Unobserve: func(_ *ygm.Rank, acc *stats.Joint2D, t *Triangle[VM, uint64]) *stats.Joint2D {
+			x, y := closureBuckets(t)
+			acc.Sub(x, y, 1)
+			return acc
+		},
+		Merge:    (*stats.Joint2D).Merge,
+		Finalize: (*stats.Joint2D).Prune,
+		Clone:    (*stats.Joint2D).Clone,
 	}
+}
+
+// closureBuckets returns t's (⌈log₂ Δt_open⌉, ⌈log₂ Δt_close⌉) cell.
+func closureBuckets[VM any](t *Triangle[VM, uint64]) (int, int) {
+	t1, t2, t3 := sort3(t.MetaPQ, t.MetaPR, t.MetaQR)
+	return int(stats.CeilLog2(t2 - t1)), int(stats.CeilLog2(t3 - t1))
 }
 
 // sort3 returns a, b, c in ascending order.

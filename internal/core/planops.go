@@ -106,8 +106,8 @@ func UnionPlans[EM any](plans []*Plan[EM]) (*Plan[EM], bool) {
 // passing keep — the per-job re-restriction a coalesced traversal applies
 // when it ran under a weaker union plan than the job asked for.
 type residual[VM, EM any] struct {
-	inner Attached[VM, EM]
-	keep  func(t *Triangle[VM, EM]) bool
+	Attached[VM, EM]
+	keep func(t *Triangle[VM, EM]) bool
 }
 
 // WithResidual returns a restricting the attached analysis to triangles
@@ -117,16 +117,17 @@ type residual[VM, EM any] struct {
 // pushed-down checks are necessary conditions only and MatchEdges is the
 // full predicate — yields exactly the triangles a solo run would observe.
 func WithResidual[VM, EM any](a Attached[VM, EM], keep func(t *Triangle[VM, EM]) bool) Attached[VM, EM] {
-	return &residual[VM, EM]{inner: a, keep: keep}
+	return &residual[VM, EM]{Attached: a, keep: keep}
 }
 
-func (w *residual[VM, EM]) AnalysisName() string      { return w.inner.AnalysisName() }
-func (w *residual[VM, EM]) validate(nranks int) error { return w.inner.validate(nranks) }
-func (w *residual[VM, EM]) start(nranks int)          { w.inner.start(nranks) }
-func (w *residual[VM, EM]) reduce(r *ygm.Rank)        { w.inner.reduce(r) }
-func (w *residual[VM, EM]) finish()                   { w.inner.finish() }
 func (w *residual[VM, EM]) observe(r *ygm.Rank, t *Triangle[VM, EM]) {
 	if w.keep(t) {
-		w.inner.observe(r, t)
+		w.Attached.observe(r, t)
+	}
+}
+
+func (w *residual[VM, EM]) unobserve(r *ygm.Rank, t *Triangle[VM, EM]) {
+	if w.keep(t) {
+		w.Attached.unobserve(r, t)
 	}
 }

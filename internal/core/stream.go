@@ -13,7 +13,7 @@ import (
 )
 
 // Streaming survey maintenance. A Stream ingests timestamped edge batches
-// and keeps a set of fused analyses (StreamAnalysis values) continuously
+// and keeps a set of fused analyses (Analysis values) continuously
 // correct over the live edge set, without re-surveying the whole graph per
 // batch. The key observation is delta locality: a batch changes exactly the
 // triangles that contain a changed edge, and the triangles containing edge
@@ -145,7 +145,7 @@ type Stream[VM, EM any] struct {
 	vm      serialize.Codec[VM]
 	em      serialize.Codec[EM]
 
-	analyses []StreamAttached[VM, EM]
+	analyses []Attached[VM, EM]
 	sinks    []StreamSink[VM, EM]
 	names    []string
 
@@ -210,11 +210,11 @@ type streamState[VM, EM any] struct {
 // empty plan streams every triangle; a non-empty plan restricts the
 // analyses to plan-matching triangles with its predicates pushed into the
 // delta traversal. Must be called outside parallel regions.
-func OpenStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], analyses ...StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], analyses ...Attached[VM, EM]) (*Stream[VM, EM], error) {
 	return openStream(g, opts, plan, nil, analyses)
 }
 
-func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses []StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses []Attached[VM, EM]) (*Stream[VM, EM], error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan
 	}
 	s.names = make([]string, len(analyses))
 	for i, a := range analyses {
-		if err := a.validateStream(w.Size()); err != nil {
+		if err := a.validate(w.Size(), true); err != nil {
 			return nil, err
 		}
 		s.names[i] = a.AnalysisName()
@@ -535,7 +535,7 @@ func (s *Stream[VM, EM]) fullObserveCallback() Callback[VM, EM] {
 		u := &s.state[r.ID()].scratchTri
 		fillIDSorted(u, t.P, t.MetaP, t.Q, t.MetaQ, t.R, t.MetaR, t.MetaPQ, t.MetaPR, t.MetaQR)
 		for _, a := range s.analyses {
-			a.observeSigned(r, u, 1)
+			a.observe(r, u)
 		}
 		for _, sk := range s.sinks {
 			sk.SinkTriangle(r, u, 1)
@@ -549,7 +549,11 @@ func (s *Stream[VM, EM]) dispatch(r *ygm.Rank, u uint64, mu VM, v uint64, mv VM,
 	t := &s.state[r.ID()].scratchTri
 	fillIDSorted(t, u, mu, v, mv, w, mw, emUV, emUW, emVW)
 	for _, a := range s.analyses {
-		a.observeSigned(r, t, s.sign)
+		if s.sign > 0 {
+			a.observe(r, t)
+		} else {
+			a.unobserve(r, t)
+		}
 	}
 	for _, sk := range s.sinks {
 		sk.SinkTriangle(r, t, s.sign)
@@ -857,7 +861,8 @@ func (s *Stream[VM, EM]) baseResult() Result {
 }
 
 // runDelta executes the delta-scoped dry run/push/pull over the current
-// delta lists and folds the per-rank counters into res.
+// delta lists and folds the per-rank counters into res, across processes
+// too on a distributed world (each process holds only its ranks' state).
 func (s *Stream[VM, EM]) runDelta(res *Result, prev *ygm.Stats) {
 	if s.opts.Survey.Mode == PushPull {
 		s.phase(prev, &res.DryRun, s.dryRunPhase)
@@ -878,10 +883,7 @@ func (s *Stream[VM, EM]) runDelta(res *Result, prev *ygm.Stats) {
 			res.MaxRankWedgeChecks = st.wedgeChecks
 		}
 	}
-	res.AvgPullsPerRank = float64(res.PullsGranted) / float64(s.w.Size())
-	if res.MaxRankWedgeChecks > 0 {
-		res.WorkBalance = float64(res.WedgeChecks) / (float64(s.w.Size()) * float64(res.MaxRankWedgeChecks))
-	}
+	settleResult(s.w, res)
 }
 
 // candCount counts live candidates of v's adjacency excluding the delta
@@ -1309,23 +1311,15 @@ func (s *Stream[VM, EM]) rebuild(res *Result, prev *ygm.Stats) error {
 }
 
 // Snapshot publishes every attached analysis's current result into its
-// bound output: the live per-rank accumulators are cloned, tree-reduced
-// and finalized, so the stream keeps maintaining them across subsequent
+// bound output: the live per-rank accumulators are cloned, and the clones
+// go through the same reduce (across processes too) and Finalize as a
+// Run's, so the stream keeps maintaining the live ones across subsequent
 // batches. Returns the cumulative stream counters. Collective; call
 // outside parallel regions.
 func (s *Stream[VM, EM]) Snapshot() StreamStats {
-	if len(s.analyses) > 0 {
-		for _, a := range s.analyses {
-			a.prepare()
-		}
-		s.w.Parallel(func(r *ygm.Rank) {
-			for _, a := range s.analyses {
-				a.reduceClones(r)
-			}
-		})
-		for _, a := range s.analyses {
-			a.finishClones()
-		}
+	for _, a := range s.analyses {
+		a.detach()
 	}
+	publish(s.w, s.analyses)
 	return s.Stats()
 }

@@ -5,11 +5,11 @@ import (
 	"tripoll/internal/ygm"
 )
 
-// Stream sinks. A StreamSink is the structural counterpart of a
-// StreamAttached analysis: where an analysis folds each triangle into an
-// accumulator and forgets it, a sink *keeps* a maintained data structure
-// (an index) continuously consistent with the stream's live window. Sinks
-// see three kinds of events:
+// Stream sinks. A StreamSink is the structural counterpart of an attached
+// analysis: where an analysis folds each triangle into an accumulator and
+// forgets it, a sink *keeps* a maintained data structure (an index)
+// continuously consistent with the stream's live window. Sinks see three
+// kinds of events:
 //
 //   - edge events: the seed graph's edges (SinkSeedEdge, once per
 //     undirected edge, from inside the seed parallel region) and every
@@ -35,8 +35,8 @@ import (
 // identical index. A sink that buffers nothing still participates: the
 // collective must run in lockstep on every process of a distributed world.
 //
-// Unlike StreamAttached, this interface is exported: maintained index
-// structures live outside this package (see internal/truss).
+// Unlike Attached, this interface has no unexported methods: maintained
+// index structures live outside this package (see internal/truss).
 type StreamSink[VM, EM any] interface {
 	// SinkName identifies the sink in diagnostics.
 	SinkName() string
@@ -79,7 +79,7 @@ type StreamSink[VM, EM any] interface {
 // seed events; durable recovery relies on this by re-seeding sinks from
 // the checkpoint snapshot before WAL replay. Must be called outside
 // parallel regions.
-func OpenStreamSinks[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses ...StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStreamSinks[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses ...Attached[VM, EM]) (*Stream[VM, EM], error) {
 	return openStream(g, opts, plan, sinks, analyses)
 }
 

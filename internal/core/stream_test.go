@@ -88,9 +88,9 @@ func openTestStream(t *testing.T, g *graph.DODGr[serialize.Unit, uint64], mode M
 	t.Helper()
 	out := &streamOutputs{}
 	s, err := OpenStream(g, StreamOptions[uint64]{Survey: Options{Mode: mode}, MergeEdgeMeta: minMerge}, plan,
-		StreamCountAnalysis[serialize.Unit, uint64]().Bind(&out.count),
-		StreamVertexCountAnalysis[serialize.Unit, uint64]().Bind(&out.verts),
-		StreamClosureTimeAnalysis[serialize.Unit]().Bind(&out.joint),
+		CountAnalysis[serialize.Unit, uint64]().Bind(&out.count),
+		VertexCountAnalysis[serialize.Unit, uint64]().Bind(&out.verts),
+		ClosureTimeAnalysis[serialize.Unit]().Bind(&out.joint),
 	)
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)
@@ -106,9 +106,9 @@ func checkEquiv(t *testing.T, label string, w *ygm.World, s *Stream[serialize.Un
 	fresh := buildLive(w, live, ord)
 	var f streamOutputs
 	res, err := Run(fresh, Options{Mode: mode}, plan,
-		StreamCountAnalysis[serialize.Unit, uint64]().Analysis.Bind(&f.count),
-		StreamVertexCountAnalysis[serialize.Unit, uint64]().Analysis.Bind(&f.verts),
-		StreamClosureTimeAnalysis[serialize.Unit]().Analysis.Bind(&f.joint),
+		CountAnalysis[serialize.Unit, uint64]().Bind(&f.count),
+		VertexCountAnalysis[serialize.Unit, uint64]().Bind(&f.verts),
+		ClosureTimeAnalysis[serialize.Unit]().Bind(&f.joint),
 	)
 	if err != nil {
 		t.Fatalf("%s: fresh run: %v", label, err)
@@ -264,7 +264,8 @@ func TestStreamNonInvertibleAdvanceRebuilds(t *testing.T) {
 	seedG := buildLive(w, live, graph.OrderDegree)
 
 	var count uint64
-	noInverse := StreamAnalysis[serialize.Unit, uint64, uint64]{Analysis: CountAnalysis[serialize.Unit, uint64]()}
+	noInverse := CountAnalysis[serialize.Unit, uint64]()
+	noInverse.Unobserve = nil
 	s, err := OpenStream(seedG, StreamOptions[uint64]{MergeEdgeMeta: minMerge}, plan, noInverse.Bind(&count))
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)
@@ -344,32 +345,30 @@ func TestStreamVertexMetadataPlumbing(t *testing.T) {
 			g = gg
 		}
 	})
-	sum := StreamAnalysis[uint64, uint64, uint64]{
-		Analysis: Analysis[uint64, uint64, uint64]{
-			Name: "vmsum",
-			Observe: func(_ *ygm.Rank, acc uint64, tr *Triangle[uint64, uint64]) uint64 {
-				if tr.P >= tr.Q || tr.Q >= tr.R {
-					t.Errorf("stream triangle not id-ordered: (%d,%d,%d)", tr.P, tr.Q, tr.R)
+	sum := Analysis[uint64, uint64, uint64]{
+		Name: "vmsum",
+		Observe: func(_ *ygm.Rank, acc uint64, tr *Triangle[uint64, uint64]) uint64 {
+			if tr.P >= tr.Q || tr.Q >= tr.R {
+				t.Errorf("stream triangle not id-ordered: (%d,%d,%d)", tr.P, tr.Q, tr.R)
+			}
+			// Seeded vertices (0..2) carry v*3+1; stream-born vertices
+			// carry the zero value.
+			for _, vm := range [][2]uint64{{tr.P, tr.MetaP}, {tr.Q, tr.MetaQ}, {tr.R, tr.MetaR}} {
+				want := uint64(0)
+				if vm[0] < 3 {
+					want = vm[0]*3 + 1
 				}
-				// Seeded vertices (0..2) carry v*3+1; stream-born vertices
-				// carry the zero value.
-				for _, vm := range [][2]uint64{{tr.P, tr.MetaP}, {tr.Q, tr.MetaQ}, {tr.R, tr.MetaR}} {
-					want := uint64(0)
-					if vm[0] < 3 {
-						want = vm[0]*3 + 1
-					}
-					if vm[1] != want {
-						t.Errorf("vertex metadata mismatch on Δ(%d,%d,%d): meta(%d) = %d, want %d",
-							tr.P, tr.Q, tr.R, vm[0], vm[1], want)
-					}
+				if vm[1] != want {
+					t.Errorf("vertex metadata mismatch on Δ(%d,%d,%d): meta(%d) = %d, want %d",
+						tr.P, tr.Q, tr.R, vm[0], vm[1], want)
 				}
-				return acc + tr.MetaP + tr.MetaQ + tr.MetaR
-			},
-			Merge: func(a, b uint64) uint64 { return a + b },
+			}
+			return acc + tr.MetaP + tr.MetaQ + tr.MetaR
 		},
 		Unobserve: func(_ *ygm.Rank, acc uint64, tr *Triangle[uint64, uint64]) uint64 {
 			return acc - (tr.MetaP + tr.MetaQ + tr.MetaR)
 		},
+		Merge: func(a, b uint64) uint64 { return a + b },
 	}
 	var got uint64
 	s, err := OpenStream(g, StreamOptions[uint64]{}, nil, sum.Bind(&got))

@@ -263,24 +263,34 @@ func (s *Survey[VM, EM]) Run() Result {
 			res.MaxRankWedgeChecks = s.state[i].wedgeChecks
 		}
 	}
-	if s.w.Distributed() {
-		s.reduceResult(&res)
-	}
-	res.AvgPullsPerRank = float64(res.PullsGranted) / float64(s.w.Size())
-	if res.MaxRankWedgeChecks > 0 {
-		res.WorkBalance = float64(res.WedgeChecks) / (float64(s.w.Size()) * float64(res.MaxRankWedgeChecks))
-	}
+	settleResult(s.w, &res)
 	return res
 }
 
-// reduceResult folds every process's Result partials into world-wide
-// totals so a multi-process run reports exactly what the equivalent
-// single-process run would. Each process leader contributes its process
+// settleResult turns this process's summed rank counters in res into the
+// traversal's figures (a survey's, or a stream delta batch's): world-wide
+// totals, then the per-rank averages derived from them.
+//
+// On a distributed world it folds every process's partials first, so a
+// multi-process traversal reports exactly what the equivalent
+// single-process one would. Each process leader contributes its process
 // partial to one vector collective — fifteen sums and a max in a single link
 // round; the other local ranks contribute zeros but must participate —
-// collectives are world-wide. Durations stay process-local: wall clock is
-// machine-dependent and excluded from every determinism gate.
-func (s *Survey[VM, EM]) reduceResult(res *Result) {
+// collectives are world-wide. A one-process world runs no collective.
+// Durations stay process-local: wall clock is machine-dependent and
+// excluded from every determinism gate. Call outside parallel regions.
+func settleResult(w *ygm.World, res *Result) {
+	if w.Distributed() {
+		reduceResult(w, res)
+	}
+	res.AvgPullsPerRank = float64(res.PullsGranted) / float64(w.Size())
+	if res.MaxRankWedgeChecks > 0 {
+		res.WorkBalance = float64(res.WedgeChecks) / (float64(w.Size()) * float64(res.MaxRankWedgeChecks))
+	}
+}
+
+// reduceResult is settleResult's cross-process fold.
+func reduceResult(w *ygm.World, res *Result) {
 	phases := []*PhaseStats{&res.DryRun, &res.Push, &res.Pull}
 	part := []uint64{
 		res.Triangles, res.PullsGranted, res.WedgeChecks,
@@ -292,12 +302,12 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 	nsum := len(part)
 	part = append(part, res.MaxRankWedgeChecks)
 	var out []uint64
-	s.w.Parallel(func(r *ygm.Rank) {
+	w.Parallel(func(r *ygm.Rank) {
 		x := part
-		if r.ID() != s.w.LeaderID() {
+		if r.ID() != w.LeaderID() {
 			x = make([]uint64, len(part))
 		}
-		if t := ygm.AllReduceVec(r, x, nsum); r.ID() == s.w.LeaderID() {
+		if t := ygm.AllReduceVec(r, x, nsum); r.ID() == w.LeaderID() {
 			out = t
 		}
 	})

@@ -126,7 +126,7 @@ func (d *durable[VM, EM]) close() error {
 // open) the initial edge set; it must be the same graph on every open of
 // one directory, or replay diverges. Returns the stream and its epoch.
 // Like OpenStream, collective: call outside parallel regions.
-func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, analyses ...core.StreamAttached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
+func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, analyses ...core.Attached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
 	return e.OpenDurableStreamSinks(name, seed, sopts, plan, dopts, nil, analyses...)
 }
 
@@ -136,7 +136,7 @@ func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM
 // checkpoint snapshot and then replays the surviving mutations through it
 // — the recovered index is identical to one maintained through the
 // original run.
-func (e *Engine[VM, EM]) OpenDurableStreamSinks(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, sinks []core.StreamSink[VM, EM], analyses ...core.StreamAttached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
+func (e *Engine[VM, EM]) OpenDurableStreamSinks(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, sinks []core.StreamSink[VM, EM], analyses ...core.Attached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
 	if seed == nil {
 		return nil, 0, fmt.Errorf("engine: OpenDurableStream(%q): nil seed graph", name)
 	}

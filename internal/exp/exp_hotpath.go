@@ -154,7 +154,7 @@ func HotPath(cfg Config) *Report {
 			}
 			return b
 		}},
-		core.TemporalPlan(), core.StreamCountAnalysis[serialize.Unit, uint64]().Bind(&count))
+		core.TemporalPlan(), core.CountAnalysis[serialize.Unit, uint64]().Bind(&count))
 	if err != nil {
 		rep.notef("UNEXPECTED: OpenStream failed: %v", err)
 		rep.Output = tb.Render()

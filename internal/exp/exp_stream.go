@@ -69,9 +69,9 @@ func AblationStream(cfg Config) *Report {
 			var incAns answers
 			plan := core.TemporalPlan()
 			s, err := core.OpenStream(seedG, core.StreamOptions[uint64]{Survey: opts, MergeEdgeMeta: minMerge}, plan,
-				core.StreamCountAnalysis[serialize.Unit, uint64]().Bind(&incAns.count),
-				core.StreamClosureTimeAnalysis[serialize.Unit]().Bind(&incAns.joint),
-				core.StreamVertexCountAnalysis[serialize.Unit, uint64]().Bind(&incAns.verts))
+				core.CountAnalysis[serialize.Unit, uint64]().Bind(&incAns.count),
+				core.ClosureTimeAnalysis[serialize.Unit]().Bind(&incAns.joint),
+				core.VertexCountAnalysis[serialize.Unit, uint64]().Bind(&incAns.verts))
 			if err != nil {
 				panic("stream ablation: " + err.Error())
 			}
@@ -167,9 +167,9 @@ func AblationStream(cfg Config) *Report {
 				buildStats := wFull.Stats()
 				var fullAns answers
 				fres, err := core.Run(gFull, opts, plan,
-					core.StreamCountAnalysis[serialize.Unit, uint64]().Analysis.Bind(&fullAns.count),
-					core.StreamClosureTimeAnalysis[serialize.Unit]().Analysis.Bind(&fullAns.joint),
-					core.StreamVertexCountAnalysis[serialize.Unit, uint64]().Analysis.Bind(&fullAns.verts))
+					core.CountAnalysis[serialize.Unit, uint64]().Bind(&fullAns.count),
+					core.ClosureTimeAnalysis[serialize.Unit]().Bind(&fullAns.joint),
+					core.VertexCountAnalysis[serialize.Unit, uint64]().Bind(&fullAns.verts))
 				if err != nil {
 					panic("stream ablation: full run: " + err.Error())
 				}

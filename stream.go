@@ -7,7 +7,7 @@ import (
 
 // Streaming survey maintenance: OpenStream turns a built Graph into the
 // seed of a mutating, timestamped edge set and keeps any number of fused
-// stream analyses continuously correct as batches arrive and the window
+// analyses continuously correct as batches arrive and the window
 // slides — without re-surveying the whole graph per batch. Each batch runs
 // a delta-scoped dry run/push/pull over only the changed edges (the
 // triangles containing edge {u,v} are exactly N(u) ∩ N(v)), reusing the
@@ -19,15 +19,17 @@ import (
 //	s, _ := tripoll.OpenStream(g,
 //	    tripoll.StreamOptions[uint64]{MergeEdgeMeta: keepFirst},
 //	    tripoll.NewTemporalPlan(),
-//	    tripoll.StreamCountAnalysis[tripoll.Unit, uint64]().Bind(&total))
+//	    tripoll.CountAnalysis[tripoll.Unit, uint64]().Bind(&total))
 //	s.Ingest(batch)          // observe the triangles the batch created
 //	s.Advance(now - window)  // retire old edges, reverse their triangles
 //	s.Snapshot()             // publish current results into bound outputs
 //
-// Analyses declare an optional Unobserve (and Clone); invertible analyses
-// are maintained through expiry, non-invertible ones fall back to a
-// windowed epoch rebuild. See DESIGN.md §9 for the delta traversal, the
-// expiry semantics and the invertibility contract.
+// The Analysis a Run takes is the one a stream takes. Its optional
+// Unobserve makes it invertible, so expiry reverses triangles out of it;
+// without one, expiry falls back to a windowed epoch rebuild. Its Clone
+// keeps snapshots off the live accumulators. Count, VertexCount,
+// MaxEdgeLabel and ClosureTime carry both. See DESIGN.md §9 for the delta
+// traversal, the expiry semantics and the invertibility contract.
 
 // EdgeStreamBatch is one batch of undirected timestamped edge insertions.
 type EdgeStreamBatch[EM any] = []graph.Edge[EM]
@@ -46,15 +48,6 @@ type StreamOptions[EM any] = core.StreamOptions[EM]
 // StreamStats are a stream's cumulative counters.
 type StreamStats = core.StreamStats
 
-// StreamAnalysis is an Analysis plus the hooks incremental maintenance
-// needs: an optional Unobserve reversing one Observe (invertibility) and a
-// Clone for snapshot isolation.
-type StreamAnalysis[VM, EM, T any] = core.StreamAnalysis[VM, EM, T]
-
-// AttachedStreamAnalysis is a StreamAnalysis bound to its output via Bind,
-// ready for OpenStream.
-type AttachedStreamAnalysis[VM, EM any] = core.StreamAttached[VM, EM]
-
 // ErrStreamNoTimestamps is returned by Stream.Advance when the stream's
 // plan has no Timestamps accessor to read expiry times from.
 var ErrStreamNoTimestamps = core.ErrStreamNoTimestamps
@@ -72,7 +65,7 @@ type StreamSink[VM, EM any] = core.StreamSink[VM, EM]
 // plan restricts the analyses to plan-matching triangles with its
 // predicates pushed into the delta traversal (and its Timestamps accessor
 // is what Advance expires by). Call outside Parallel regions.
-func OpenStream[VM, EM any](g *Graph[VM, EM], opts StreamOptions[EM], plan *SurveyPlan[EM], analyses ...AttachedStreamAnalysis[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStream[VM, EM any](g *Graph[VM, EM], opts StreamOptions[EM], plan *SurveyPlan[EM], analyses ...AttachedAnalysis[VM, EM]) (*Stream[VM, EM], error) {
 	return core.OpenStream(g, opts, plan, analyses...)
 }
 
@@ -80,32 +73,6 @@ func OpenStream[VM, EM any](g *Graph[VM, EM], opts StreamOptions[EM], plan *Surv
 // observes the seed graph's edges and triangles before the first batch and
 // is kept consistent through every Ingest/Advance thereafter. Sinks must
 // attach at open — attached later they would have missed the seed events.
-func OpenStreamSinks[VM, EM any](g *Graph[VM, EM], opts StreamOptions[EM], plan *SurveyPlan[EM], sinks []StreamSink[VM, EM], analyses ...AttachedStreamAnalysis[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStreamSinks[VM, EM any](g *Graph[VM, EM], opts StreamOptions[EM], plan *SurveyPlan[EM], sinks []StreamSink[VM, EM], analyses ...AttachedAnalysis[VM, EM]) (*Stream[VM, EM], error) {
 	return core.OpenStreamSinks(g, opts, plan, sinks, analyses...)
-}
-
-// Stock invertible analyses — the streaming counterparts of the stock
-// Analysis values, with Unobserve/Clone filled in.
-
-// StreamCountAnalysis is CountAnalysis with the obvious inverse.
-func StreamCountAnalysis[VM, EM any]() StreamAnalysis[VM, EM, uint64] {
-	return core.StreamCountAnalysis[VM, EM]()
-}
-
-// StreamVertexCountAnalysis is VertexCountAnalysis with per-vertex
-// decrements as the inverse.
-func StreamVertexCountAnalysis[VM, EM any]() StreamAnalysis[VM, EM, map[uint64]uint64] {
-	return core.StreamVertexCountAnalysis[VM, EM]()
-}
-
-// StreamClosureTimeAnalysis is ClosureTimeAnalysis with bucket decrements
-// as the inverse.
-func StreamClosureTimeAnalysis[VM any]() StreamAnalysis[VM, uint64, *Joint2D] {
-	return core.StreamClosureTimeAnalysis[VM]()
-}
-
-// StreamMaxEdgeLabelAnalysis is MaxEdgeLabelAnalysis with label decrements
-// as the inverse.
-func StreamMaxEdgeLabelAnalysis[VM comparable](distinctLabels bool) StreamAnalysis[VM, uint64, map[uint64]uint64] {
-	return core.StreamMaxEdgeLabelAnalysis[VM](distinctLabels)
 }

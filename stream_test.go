@@ -26,8 +26,8 @@ func TestStreamQuickstart(t *testing.T) {
 	s, err := tripoll.OpenStream(g,
 		tripoll.StreamOptions[uint64]{MergeEdgeMeta: keepFirst},
 		tripoll.NewTemporalPlan(),
-		tripoll.StreamCountAnalysis[tripoll.Unit, uint64]().Bind(&total),
-		tripoll.StreamVertexCountAnalysis[tripoll.Unit, uint64]().Bind(&verts),
+		tripoll.CountAnalysis[tripoll.Unit, uint64]().Bind(&total),
+		tripoll.VertexCountAnalysis[tripoll.Unit, uint64]().Bind(&verts),
 	)
 	if err != nil {
 		t.Fatalf("OpenStream: %v", err)

@@ -46,10 +46,11 @@
 //	    tripoll.CountAnalysis[tripoll.Unit, uint64]().Bind(&total),
 //	    tripoll.ClosureTimeAnalysis[tripoll.Unit]().Bind(&joint))
 //
-// When edges arrive as a timestamped stream, OpenStream maintains fused
-// analyses incrementally over edge batches and a sliding window, without
-// re-surveying per batch (DESIGN.md §9): see Stream, StreamAnalysis and
-// the stock Stream*Analysis constructors in stream.go.
+// When edges arrive as a timestamped stream, OpenStream maintains the same
+// Analysis values incrementally over edge batches and a sliding window,
+// without re-surveying per batch (DESIGN.md §9): attach
+// CountAnalysis[...]().Bind(&total) to a Stream exactly as to a Run; see
+// stream.go.
 //
 // Services answering many (possibly concurrent) questions hold a query
 // Engine: graphs and streams register by name, clients submit
