@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -100,10 +101,14 @@ func TestFusedSurveyRuns(t *testing.T) {
 	}
 }
 
+// TestStreamModeRuns drives runStream through ingests and expiries: the
+// 20 000-tick window retires edges on the 3 000-edge input, so Advance and
+// the stock analyses' Unobserve run, and the chronological replay must
+// still never rebuild.
 func TestStreamModeRuns(t *testing.T) {
 	code, out, errOut := runCLI(t,
 		"-gen", "reddit", "-size", "3000", "-ranks", "2",
-		"-survey", "count,closure,localcounts,labels", "-stream", "3", "-window", "100000")
+		"-survey", "count,closure,localcounts,labels", "-stream", "3", "-window", "20000")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr = %q", code, errOut)
 	}
@@ -115,6 +120,16 @@ func TestStreamModeRuns(t *testing.T) {
 	}
 	if strings.Contains(out, "epoch rebuild") {
 		t.Errorf("chronological replay should not rebuild:\n%s", out)
+	}
+	m := regexp.MustCompile(`([\d,]+) retired, (\d+) rebuilds\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("stdout has no retired/rebuilds summary:\n%s", out)
+	}
+	if m[1] == "0" {
+		t.Errorf("the window retired no edge, so no expiry ran:\n%s", out)
+	}
+	if m[2] != "0" {
+		t.Errorf("chronological replay rebuilt %s times:\n%s", m[2], out)
 	}
 }
 

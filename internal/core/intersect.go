@@ -8,9 +8,9 @@ import (
 
 // Sorted-list intersection primitives for the survey and stream hot paths.
 //
-// The merge cursors in onPush/onPull used to advance linearly: fine when the
-// two lists are the same length, quadratic in feel when a short pushed
-// suffix is intersected against a hub's adjacency (the cursor crawls over
+// The merge cursors of the survey's intersections used to advance
+// linearly: fine when the two lists are the same length, quadratic in feel
+// when a short pushed suffix is intersected against a hub's adjacency (the cursor crawls over
 // thousands of entries per candidate). Galloping — a bounded linear probe,
 // then exponential search, then binary search over the probed range — costs
 // O(log gap) per advance; the linear prelude keeps the balanced-list case
@@ -55,19 +55,37 @@ func gallopOutKey[VM, EM any](adj []graph.OutEdge[VM, EM], k int, ck graph.Order
 	return lo
 }
 
-// gallopPullKey is gallopOutKey over a decoded survey pull reply.
-func gallopPullKey[EM any](xs []pullEntry[EM], k int, ck graph.OrderKey) int {
+// pulledEntry is one decoded entry of a pulled Adj⁺ᵐ(q): the target r, its
+// ordering weight and Mix64 hash (so a gallop probe compares cached words),
+// the plan accessor's timestamp of (q,r) (0 without a δ), and meta(q,r).
+type pulledEntry[EM any] struct {
+	id   uint64
+	hash uint64
+	ts   uint64
+	deg  uint32
+	em   EM
+}
+
+// before reports whether x sorts before the vertex with ordering weight deg
+// and hash Mix64(id). Mix64 is a bijection, so two distinct ids never tie on
+// the hash and the order key's last word, the id, need not be read.
+func (x *pulledEntry[EM]) before(deg uint32, hash uint64) bool {
+	return x.deg < deg || (x.deg == deg && x.hash < hash)
+}
+
+// gallopPulled is gallopOutKey over a pulled list, comparing cached keys.
+func gallopPulled[EM any](xs []pulledEntry[EM], k int, deg uint32, hash uint64) int {
 	for n := 0; n < gallopLinearSteps; n++ {
-		if k >= len(xs) || !keyOfPull(&xs[k]).Less(ck) {
+		if k >= len(xs) || !xs[k].before(deg, hash) {
 			return k
 		}
 		k++
 	}
-	if k >= len(xs) || !keyOfPull(&xs[k]).Less(ck) {
+	if k >= len(xs) || !xs[k].before(deg, hash) {
 		return k
 	}
 	step := 1
-	for k+step < len(xs) && keyOfPull(&xs[k+step]).Less(ck) {
+	for k+step < len(xs) && xs[k+step].before(deg, hash) {
 		k += step
 		step <<= 1
 	}
@@ -77,13 +95,69 @@ func gallopPullKey[EM any](xs []pullEntry[EM], k int, ck graph.OrderKey) int {
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if keyOfPull(&xs[mid]).Less(ck) {
+		if xs[mid].before(deg, hash) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// intersectPulled completes one granted wedge batch (p,q): it walks the
+// batch's candidate suffix of Adj⁺ᵐ(p) and gallops into q's pulled list,
+// appending each match (p,q,r) to hits. ok and ts are the suffix's entries
+// of the plan columns (nil without an edge filter, without a δ), tq is the
+// (p,q) edge's timestamp and delta the plan's δ (noDelta without one).
+//
+// A candidate failing the column test (ok, and |ts − tq| ≤ δ) is pruned
+// without advancing the cursor; every other candidate is one wedge check,
+// also once the list is spent. A match is reported when the three
+// timestamps span at most δ: that is all that is left of the plan's
+// predicate, because the single-edge tests of (p,q), (p,r) and (q,r) were
+// settled by the dry run's survival test, by the ok column here and by the
+// reply's own filter at q's owner.
+func intersectPulled[VM, EM any](hits []pullHit, suffix []graph.OutEdge[VM, EM], pulled []pulledEntry[EM],
+	ok []bool, ts []uint64, tq, delta uint64) (_ []pullHit, checks, pruned uint64) {
+	i, k := 0, 0
+	for ; i < len(suffix) && k < len(pulled); i++ {
+		var tr uint64
+		if ok != nil && !ok[i] {
+			pruned++
+			continue
+		}
+		if ts != nil {
+			if tr = ts[i]; absDiff(tr, tq) > delta {
+				pruned++
+				continue
+			}
+		}
+		checks++
+		c := &suffix[i]
+		if h := graph.Mix64(c.Target); pulled[k].before(c.TOrd, h) {
+			k = gallopPulled(pulled, k+1, c.TOrd, h)
+		}
+		if k < len(pulled) && pulled[k].id == c.Target {
+			if ts == nil || spread3(tq, tr, pulled[k].ts) <= delta {
+				hits = append(hits, pullHit{i: int32(i), k: int32(k)})
+			}
+			k++
+		}
+	}
+	// The list is spent: the rest of the suffix only counts.
+	for ; i < len(suffix); i++ {
+		if (ok != nil && !ok[i]) || (ts != nil && absDiff(ts[i], tq) > delta) {
+			pruned++
+		} else {
+			checks++
+		}
+	}
+	return hits, checks, pruned
+}
+
+// spread3 is max − min of three timestamps.
+func spread3(a, b, c uint64) uint64 {
+	return max(a, b, c) - min(a, b, c)
 }
 
 // gallopStreamID returns the smallest j >= k with adj[j].Target >= w; adj

@@ -141,3 +141,98 @@ func FuzzGallopIntersect(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPulledIntersect holds intersectPulled — a granted wedge batch's suffix
+// against its target's pulled list — to a nested loop over the same slices:
+// the same matches in the same order, the same wedge checks and the same
+// pruned candidates, with and without the ok and ts columns. Each input byte
+// pair is one entry (a target id from a universe of 64, so the lists
+// overlap, and a timestamp); a vertex's ordering weight takes one of three
+// values, so equal weights are common and the order falls to the hash. Two
+// distinct ids never tie on the hash (Mix64 is a bijection), so a full key
+// tie is an equal id: a match. Empty suffixes and empty lists are seeds.
+func FuzzPulledIntersect(f *testing.F) {
+	f.Add([]byte{1, 10, 2, 12, 3, 30, 9, 9}, []byte{2, 11, 3, 40, 9, 9}, uint64(0xff), uint8(10), uint8(5), uint8(3))
+	f.Add([]byte{}, []byte{1, 1}, uint64(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{5, 5, 6, 6}, []byte{}, uint64(1), uint8(0), uint8(255), uint8(1))
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0}, []byte{0, 0, 2, 0, 4, 0, 6, 0}, uint64(0x2a), uint8(0), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, sfx, pl []byte, okMask uint64, tqB, deltaB, flags uint8) {
+		weight := func(id uint64) uint32 { return uint32(graph.Mix64(id^uint64(flags>>2)) % 3) }
+		type ent struct{ id, ts uint64 }
+		list := func(raw []byte) []ent {
+			seen := map[uint64]bool{}
+			var out []ent
+			for i := 0; i+1 < len(raw) && len(out) < 64; i += 2 {
+				id := uint64(raw[i] & 63)
+				if !seen[id] {
+					seen[id] = true
+					out = append(out, ent{id, uint64(raw[i+1])})
+				}
+			}
+			sort.Slice(out, func(a, b int) bool {
+				return graph.KeyOf(weight(out[a].id), out[a].id).Less(graph.KeyOf(weight(out[b].id), out[b].id))
+			})
+			return out
+		}
+		se, pe := list(sfx), list(pl)
+		suffix := make([]graph.OutEdge[serialize.Unit, uint64], len(se))
+		var ok []bool
+		var ts []uint64
+		if flags&1 != 0 {
+			ok = make([]bool, len(se))
+		}
+		if flags&2 != 0 {
+			ts = make([]uint64, len(se))
+		}
+		for i, e := range se {
+			suffix[i] = graph.OutEdge[serialize.Unit, uint64]{Target: e.id, TOrd: weight(e.id), EMeta: e.ts}
+			if ok != nil {
+				ok[i] = okMask&(1<<i) != 0
+			}
+			if ts != nil {
+				ts[i] = e.ts
+			}
+		}
+		pulled := make([]pulledEntry[uint64], len(pe))
+		for k, e := range pe {
+			pulled[k] = pulledEntry[uint64]{id: e.id, hash: graph.Mix64(e.id), deg: weight(e.id), em: e.ts}
+			if ts != nil {
+				pulled[k].ts = e.ts
+			}
+		}
+		tq, delta := uint64(tqB), uint64(deltaB)
+		if ts == nil {
+			tq, delta = 0, noDelta
+		}
+
+		var want []pullHit
+		var wantChecks, wantPruned uint64
+		for i, c := range suffix {
+			if (ok != nil && !ok[i]) || (ts != nil && absDiff(ts[i], tq) > delta) {
+				wantPruned++
+				continue
+			}
+			wantChecks++
+			for k := range pulled {
+				if pulled[k].id != c.Target {
+					continue
+				}
+				if ts == nil || max(tq, ts[i], pulled[k].ts)-min(tq, ts[i], pulled[k].ts) <= delta {
+					want = append(want, pullHit{i: int32(i), k: int32(k)})
+				}
+			}
+		}
+		got, checks, pruned := intersectPulled(nil, suffix, pulled, ok, ts, tq, delta)
+		if checks != wantChecks || pruned != wantPruned {
+			t.Fatalf("checks %d, pruned %d; nested loop %d, %d", checks, pruned, wantChecks, wantPruned)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("matches %v; nested loop %v", got, want)
+		}
+		for n := range got {
+			if got[n] != want[n] {
+				t.Fatalf("matches %v; nested loop %v", got, want)
+			}
+		}
+	})
+}

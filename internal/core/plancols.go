@@ -41,8 +41,8 @@ type planCols struct {
 	ok []bool
 	// parked has one bit per entry, set by the dry run for every wedge batch
 	// it proposed volume for. The push-pull push phase tests it before
-	// asking whether the batch's target declined: a batch that was never
-	// proposed cannot have been declined.
+	// reading the batch's slot: a batch that was never proposed has none,
+	// and takes no place in slotOf.
 	parked []uint64
 }
 
@@ -56,12 +56,6 @@ func absDiff(a, b uint64) uint64 {
 		return b - a
 	}
 	return a - b
-}
-
-// passes is the candidate test: entry k survives in a wedge batch whose own
-// entry (the (p,q) edge) has timestamp tq.
-func (c *planCols) passes(k int, tq uint64) bool {
-	return (c.ok == nil || c.ok[k]) && (c.ts == nil || absDiff(c.ts[k], tq) <= c.delta)
 }
 
 // cut reports, in O(1), that the wedge batch at entry j is dead: its own
@@ -82,8 +76,8 @@ func (c *planCols) dead(j, end int) bool {
 
 // anyAlive scans the batch at entry j for a surviving candidate, stopping
 // at the first; the plan has an edge filter. It is written over re-sliced
-// columns with its operands in locals because the indexed form (calling
-// passes) ran at half the speed.
+// columns with its operands in locals because the indexed form (a
+// per-entry candidate-test call) ran at half the speed.
 func (c *planCols) anyAlive(j, end int) bool {
 	ok := c.ok[j+1 : end]
 	if c.ts == nil {
@@ -138,31 +132,28 @@ func (c *planCols) countOK(vi int32) int {
 	return n
 }
 
-// reqRef locates a (p, q) wedge source on the requesting rank: the local
-// vertex index of p and the adjacency position of q within Adj⁺ᵐ(p).
-type reqRef struct {
-	vert int32
-	pos  int32
-}
-
 // targSlot is what a source rank knows about one target vertex q: the push
-// volume it proposed, the wedge sources parked for q (a chain through
-// surveyScratch.reqs in dry-run order; indices are 1-based, 0 ends the
-// chain), and whether q's owner declined the pull.
+// volume it proposed, whether q's owner declined the pull, and, once q's
+// reply has arrived, where it sits in the rank's pulled arena: entries
+// [lo, hi), and meta(q) at position reply-1 (reply is 0 while there is
+// none).
 type targSlot struct {
-	vol        uint64
-	head, tail int32
-	declined   bool
-}
-
-type reqNode struct {
-	ref  reqRef
-	next int32
+	q        uint64
+	vol      uint64
+	lo, hi   int32
+	reply    int32
+	declined bool
 }
 
 // pullGrant is one granted pull: local vertex vert goes to source rank src.
 type pullGrant struct {
 	vert, src int32
+}
+
+// pullHit is one match of a granted wedge batch against its pulled list:
+// candidate i of the batch's suffix is entry k of the list.
+type pullHit struct {
+	i, k int32
 }
 
 // surveyScratch is the part of a rank's survey state whose types do not
@@ -174,42 +165,47 @@ type pullGrant struct {
 // nothing proportional to |E|. It never holds a snapshot column: those stay
 // with the snapshot.
 type surveyScratch struct {
-	targ   map[uint64]targSlot // source side: target vertex → slot
-	reqs   []reqNode
-	grants []pullGrant // target side, in arrival order until pullPhase sorts it
-	keep   []int32     // surviving-candidate indices of the batch being built
-	// pulled is onPull's decoded reply, a *[]pullEntry[EM]: behind an
+	// Source side. slotIdx maps a target vertex to its slot, and slots holds
+	// them in first-park order, the order they are proposed in. slotOf is the
+	// slot of every parked wedge batch, in the order the dry run parked them,
+	// which is the push phase's sweep order: the push phase reads it by
+	// position and never asks the map.
+	slotIdx map[uint64]int32
+	slots   []targSlot
+	slotOf  []int32
+	grants  []pullGrant // target side, in arrival order until pullPhase sorts it
+	keep    []int32     // surviving-candidate indices of the batch being built
+	hits    []pullHit   // matches of the granted batch being intersected
+	// pulled is the rank's pulled arena, a *pullArena[VM, EM]: behind an
 	// interface because one pool serves surveys of every metadata type (a
-	// scratch last used with another EM just starts a new slice).
+	// scratch last used with other types just starts a new arena).
 	pulled any
 	ok     []bool
 	parked []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &surveyScratch{targ: make(map[uint64]targSlot)}
+	return &surveyScratch{slotIdx: make(map[uint64]int32)}
 }}
 
 // reset readies the scratch for a Run. A built ok column is kept.
 func (sc *surveyScratch) reset() {
-	clear(sc.targ)
-	sc.reqs = sc.reqs[:0]
+	clear(sc.slotIdx)
+	sc.slots = sc.slots[:0]
+	sc.slotOf = sc.slotOf[:0]
 	sc.grants = sc.grants[:0]
 	clear(sc.parked)
 }
 
-// parkWedge records wedge source ref for target q with vol more edges of
-// proposed push volume.
-func (sc *surveyScratch) parkWedge(q uint64, ref reqRef, vol uint64) {
-	sc.reqs = append(sc.reqs, reqNode{ref: ref})
-	n := int32(len(sc.reqs))
-	slot := sc.targ[q]
-	if slot.tail == 0 {
-		slot.head = n
-	} else {
-		sc.reqs[slot.tail-1].next = n
+// parkWedge records a wedge batch for target q with vol more edges of
+// proposed push volume: one map lookup, and a new slot on q's first batch.
+func (sc *surveyScratch) parkWedge(q uint64, vol uint64) {
+	i, ok := sc.slotIdx[q]
+	if !ok {
+		i = int32(len(sc.slots))
+		sc.slotIdx[q] = i
+		sc.slots = append(sc.slots, targSlot{q: q})
 	}
-	slot.tail = n
-	slot.vol += vol
-	sc.targ[q] = slot
+	sc.slots[i].vol += vol
+	sc.slotOf = append(sc.slotOf, i)
 }

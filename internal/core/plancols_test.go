@@ -20,16 +20,22 @@ import (
 // timestamp columns call the accessor once per local adjacency entry (|E⁺|
 // over all ranks) for the first survey that passes that func value, the
 // survey's ok column calls each predicate once per entry, and after that
-// only the match-time residual (Plan.MatchEdges, at most six accessor and
-// three predicate calls per wedge check that finds its candidate) touches
-// them — so a Run stays within |E⁺| + 6·WedgeChecks whatever |W⁺| is, a
-// second Run of the same Survey pays only the match-time part, and so does
-// a second Survey with the same accessor on the same snapshot. The exact
-// figures for the seeded graph (|E⁺| 4 157, |W⁺| 16 570 / 16 539, 896 / 895
-// wedge checks) are pinned. The snapshot column calls the accessor on every
-// entry, whatever the predicate answers for it. Before the plan columns
-// (ISSUE 22's parent) the predicated plan read 26 333…31 599 accessor and
-// 19 939…27 715 predicate calls on every Run — a call or two per wedge.
+// only the match-time residual touches them: on a pushed batch,
+// Plan.MatchEdges (at most six accessor and three predicate calls per wedge
+// check that finds its candidate); on a pulled one, nothing — its residual
+// reads the columns and the pulled entries' timestamps, which onPull takes
+// with one accessor call per pulled entry under a δ. So a Run stays within
+// |E⁺| + 6·WedgeChecks whatever |W⁺| is, a second Run of the same Survey
+// pays only the match-time part, and so does a second Survey with the same
+// accessor on the same snapshot. The exact figures for the seeded graph
+// (|E⁺| 4 157, |W⁺| 16 570 / 16 539, 896 / 895 wedge checks) are pinned.
+// The snapshot column calls the accessor on every entry, whatever the
+// predicate answers for it. Before the plan columns (ISSUE 22's parent) the
+// predicated plan read 26 333…31 599 accessor and 19 939…27 715 predicate
+// calls on every Run — a call or two per wedge. Before the pulled
+// intersection moved into the push sweep, push-pull called MatchEdges on
+// pulled matches too: degree/ranks=1 read {6374, 6383} and {2217, 2226},
+// and its predicate-free surveys {7646, 3489}, as push-only still does.
 func TestPlanEvalBudget(t *testing.T) {
 	events := redditEvents(800, 40_000, 7)
 	span := events[len(events)-1].Time - events[0].Time
@@ -40,27 +46,33 @@ func TestPlanEvalBudget(t *testing.T) {
 	}
 	// {accessor, predicate} calls of the first Run and of the second, which
 	// is the first less the column builds (every entry's accessor and
-	// predicate call). Push-pull replies omit entries the predicate rules
-	// out, so fewer matches reach the residual there, and how many depends on
-	// the grants, hence on the ranks.
+	// predicate call). In push-pull only the pushed batches' matches reach
+	// MatchEdges, and the pulled entries' timestamps cost one accessor call
+	// each; both depend on the grants, hence on the ranks.
 	want := map[key][2][2]int64{
 		{PushOnly, graph.OrderDegree, 1}:     {{6374, 6731}, {2217, 2574}},
-		{PushPull, graph.OrderDegree, 1}:     {{6374, 6383}, {2217, 2226}},
+		{PushPull, graph.OrderDegree, 1}:     {{4816, 4247}, {659, 90}},
 		{PushOnly, graph.OrderDegree, 4}:     {{6374, 6731}, {2217, 2574}},
-		{PushPull, graph.OrderDegree, 4}:     {{6374, 6392}, {2217, 2235}},
+		{PushPull, graph.OrderDegree, 4}:     {{5351, 4358}, {1194, 201}},
 		{PushOnly, graph.OrderDegeneracy, 1}: {{6386, 6731}, {2229, 2574}},
-		{PushPull, graph.OrderDegeneracy, 1}: {{6386, 6395}, {2229, 2238}},
+		{PushPull, graph.OrderDegeneracy, 1}: {{4823, 4256}, {666, 99}},
 		{PushOnly, graph.OrderDegeneracy, 4}: {{6386, 6731}, {2229, 2574}},
-		{PushPull, graph.OrderDegeneracy, 4}: {{6386, 6410}, {2229, 2253}},
+		{PushPull, graph.OrderDegeneracy, 4}: {{5380, 4406}, {1223, 249}},
 	}
 	// Predicate-free: accessor calls of a first Survey with a δ-only plan and
 	// of a second Survey, with a plan of its own but the same accessor func
-	// value, on the same snapshot — which builds no column. Nothing filters a
-	// pull reply here, so the residual is the same in both modes and on any
-	// number of ranks.
-	wantFree := map[graph.Ordering][2]int64{
-		graph.OrderDegree:     {7646, 3489},
-		graph.OrderDegeneracy: {7661, 3504},
+	// value, on the same snapshot — which builds no column. Push-only's
+	// residual is the same on any number of ranks; push-pull's depends on the
+	// grants, as above.
+	wantFree := map[key][2]int64{
+		{PushOnly, graph.OrderDegree, 1}:     {7646, 3489},
+		{PushPull, graph.OrderDegree, 1}:     {5012, 855},
+		{PushOnly, graph.OrderDegree, 4}:     {7646, 3489},
+		{PushPull, graph.OrderDegree, 4}:     {5757, 1600},
+		{PushOnly, graph.OrderDegeneracy, 1}: {7661, 3504},
+		{PushPull, graph.OrderDegeneracy, 1}: {5021, 864},
+		{PushOnly, graph.OrderDegeneracy, 4}: {7661, 3504},
+		{PushPull, graph.OrderDegeneracy, 4}: {5776, 1619},
 	}
 	budget := func(name string, g *graph.DODGr[serialize.Unit, uint64], res Result, acc, pred int64) {
 		t.Helper()
@@ -120,8 +132,8 @@ func TestPlanEvalBudget(t *testing.T) {
 					t.Errorf("%s predicate-free: accessor calls %v: the second Survey should skip exactly the |E+| = %d column-build calls",
 						name, free, g.NumUndirectedEdges())
 				}
-				if free != wantFree[ord] {
-					t.Errorf("%s predicate-free: accessor calls per Survey %v, pinned %v", name, free, wantFree[ord])
+				if free != wantFree[key{mode, ord, nranks}] {
+					t.Errorf("%s predicate-free: accessor calls per Survey %v, pinned %v", name, free, wantFree[key{mode, ord, nranks}])
 				}
 			}
 			w.Close()
@@ -131,11 +143,21 @@ func TestPlanEvalBudget(t *testing.T) {
 
 // BenchmarkPlannedSurvey times δ-planned counts on the benchmark's graph
 // shape (bench/script.go: RedditLike, one user per 8 events, 4 ranks; 1 M
-// events, 100 k under -short) at three points of the log-uniform δ range the
+// events, 100 k under -short) at four points of the log-uniform δ range the
 // survey-cold workload draws from (1/500 000 to 1/6 of the time axis, as
-// bench/script.go's deltaOf), and reports the phases separately: narrow δ is
-// the case where nearly every wedge is fully pruned and the dry run's
-// survival test is all there is. Two more rows, at the mid δ:
+// bench/script.go's deltaOf): narrow, mid and wide at 0.1, 0.5 and 0.9 of
+// the range, and widest at its top (δ = span/6), where survey-cold's tail
+// lives. Narrow δ is the case where nearly every wedge is fully pruned and
+// the dry run's survival test is all there is.
+//
+// Each row reports the phases separately, and the work: wedges
+// (Result.WedgeChecks) and pulls (Result.PullsGranted), so the cost per
+// wedge check can be read from one run. In push-pull mode the phases run
+// dry run, pull, push: pull-ms is serving the granted pulls (sending the
+// replies and decoding them at the source), and push-ms is the one sweep
+// that pushes the declined batches and intersects the granted ones with
+// their pulled lists. Compare whole-run ns/op across trees whose phases
+// split differently, not the phase metrics. Two more rows, at the mid δ:
 //
 //   - windowed: a sliding window over 25–100 % of the axis (the iterations
 //     cycle through four widths, centred), as 6 of every 20 survey-cold
@@ -195,13 +217,15 @@ func BenchmarkPlannedSurvey(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Triangles), "triangles")
 			b.ReportMetric(float64(totalMsgs(res)), "msgs")
+			b.ReportMetric(float64(res.WedgeChecks), "wedges")
+			b.ReportMetric(float64(res.PullsGranted), "pulls")
 		})
 	}
 	for _, mode := range []Mode{PushPull, PushOnly} {
 		for _, dc := range []struct {
 			name string
 			frac float64
-		}{{"narrow", 0.1}, {"mid", 0.5}, {"wide", 0.9}} {
+		}{{"narrow", 0.1}, {"mid", 0.5}, {"wide", 0.9}, {"widest", 1.0}} {
 			delta := deltaAt(dc.frac)
 			row(dc.name, mode, false, func(int) *Plan[uint64] { return TemporalPlan().CloseWithin(delta) })
 		}
@@ -387,7 +411,7 @@ func TestSnapshotColumnsIdentityAndLifetime(t *testing.T) {
 				for _, sc := range scs {
 					for _, c := range cols {
 						if overlaps(sc.ok, c) || overlaps(sc.parked, c) || overlaps(sc.keep, c) ||
-							overlaps(sc.reqs, c) || overlaps(sc.grants, c) {
+							overlaps(sc.slotOf, c) || overlaps(sc.grants, c) {
 							t.Fatalf("a closed survey's pooled scratch holds a snapshot column")
 						}
 					}

@@ -49,7 +49,13 @@ type Result struct {
 	Analyses []string
 
 	// DryRun, Push and Pull break the run into the paper's three phases
-	// (Fig. 7). Push-Only runs populate only Push.
+	// (Fig. 7). Push-Only runs populate only Push. Push-Pull runs them in the
+	// order dry run, pull, push: Pull is serving the granted pulls (the
+	// replies' traffic, and decoding them where they land), and Push is the
+	// one sweep over the parked wedge batches that pushes the declined ones
+	// and intersects the granted ones with their pulled lists, so its
+	// Duration includes the pulled intersections and its traffic is the
+	// pushes alone.
 	DryRun PhaseStats
 	Push   PhaseStats
 	Pull   PhaseStats
@@ -126,10 +132,23 @@ type Survey[VM, EM any] struct {
 	state []rankState[VM, EM]
 }
 
-type pullEntry[EM any] struct {
-	id  uint64
-	deg uint32
-	em  EM
+// pullArena holds every pull reply a source rank receives in one Run,
+// decoded once, in arrival order: the entries, and meta(q) of each reply
+// (targSlot says where q's are).
+type pullArena[VM, EM any] struct {
+	ents []pulledEntry[EM]
+	meta []VM
+}
+
+// arenaOf returns sc's pulled arena for these metadata types, starting a new
+// one if sc last served another survey's types.
+func arenaOf[VM, EM any](sc *surveyScratch) *pullArena[VM, EM] {
+	a, _ := sc.pulled.(*pullArena[VM, EM])
+	if a == nil {
+		a = new(pullArena[VM, EM])
+		sc.pulled = a
+	}
+	return a
 }
 
 type rankState[VM, EM any] struct {
@@ -137,6 +156,8 @@ type rankState[VM, EM any] struct {
 	// columns and the survivor list (see surveyScratch); nil until the first
 	// Run, and for ranks other processes host.
 	sc *surveyScratch
+	// arena is sc's pulled arena, typed.
+	arena *pullArena[VM, EM]
 	// cols is the rank's plan columns: the snapshot's, plus ok and parked
 	// in sc's buffers (see planCols).
 	cols planCols
@@ -182,8 +203,12 @@ func (s *Survey[VM, EM]) Close() {
 	for i := range s.state {
 		st := &s.state[i]
 		if st.sc != nil {
+			// The pool outlives the graph: keep none of its metadata.
+			clear(st.arena.ents)
+			clear(st.arena.meta)
+			st.arena.ents, st.arena.meta = st.arena.ents[:0], st.arena.meta[:0]
 			scratchPool.Put(st.sc)
-			st.sc = nil
+			st.sc, st.arena = nil, nil
 		}
 		st.cols = planCols{}
 	}
@@ -217,6 +242,8 @@ func (s *Survey[VM, EM]) Run() Result {
 			st.sc = scratchPool.Get().(*surveyScratch)
 		}
 		st.sc.reset()
+		st.arena = arenaOf[VM, EM](st.sc)
+		st.arena.ents, st.arena.meta = st.arena.ents[:0], st.arena.meta[:0]
 		st.triangles = 0
 		st.wedgeChecks = 0
 		st.prunedBatches = 0
@@ -243,11 +270,9 @@ func (s *Survey[VM, EM]) Run() Result {
 
 	if s.opts.Mode == PushPull {
 		phase(&res.DryRun, s.dryRunPhase)
-	}
-	phase(&res.Push, s.pushPhase)
-	if s.opts.Mode == PushPull {
 		phase(&res.Pull, s.pullPhase)
 	}
+	phase(&res.Push, s.pushPhase)
 
 	res.Total = time.Since(t0)
 	for i := range s.state {
@@ -376,9 +401,10 @@ func (s *Survey[VM, EM]) columns(r *ygm.Rank) *planCols {
 
 // dryRunPhase mimics the push pass over adjacency lists without moving any
 // adjacency data: it accumulates, per target vertex, the number of edges
-// this rank would push, remembers where each wedge source lives (so pulls
-// can be served locally later), and proposes aggregate volumes to target
-// owners.
+// this rank would push, records each parked wedge batch's target slot in
+// sweep order (slotOf, so the push phase finds its batches' slots by
+// position), and proposes aggregate volumes to target owners, one per slot
+// in first-park order.
 //
 // Under a plan, wedges the pushdown filters would fully eliminate — the
 // (p,q) edge fails the edge filter, or no suffix candidate survives the
@@ -413,12 +439,13 @@ func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
 				}
 				cols.park(base + j)
 			}
-			sc.parkWedge(p.Adj[j].Target, reqRef{vert: int32(vi), pos: int32(j)}, rest)
+			sc.parkWedge(p.Adj[j].Target, rest)
 		}
 	}
-	for q, slot := range sc.targ {
-		e := r.Begin(s.g.Owner(q), s.hPropose)
-		e.PutUvarint(q)
+	for i := range sc.slots {
+		slot := &sc.slots[i]
+		e := r.Begin(s.g.Owner(slot.q), s.hPropose)
+		e.PutUvarint(slot.q)
 		e.PutUvarint(slot.vol)
 		e.PutUvarint(uint64(r.ID()))
 		r.Commit(e)
@@ -460,17 +487,20 @@ func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 	if d.Err() != nil {
 		panic("core: corrupt decline message: " + d.Err().Error())
 	}
-	targ := s.state[r.ID()].sc.targ
-	slot := targ[q]
-	slot.declined = true
-	targ[q] = slot
+	sc := s.state[r.ID()].sc
+	sc.slots[sc.slotIdx[q]].declined = true
 }
 
 // --- Push phase (Alg. 1; §4.3) -----------------------------------------
 
 // pushPhase streams, for every local pivot p and every q ∈ Adj⁺(p), the
 // <+-suffix of Adj⁺ᵐ(p) after q to Rank(q), where onPush intersects it with
-// Adj⁺ᵐ(q). In Push-Pull mode, targets granted a pull are skipped.
+// Adj⁺ᵐ(q). In Push-Pull mode it runs after the pull phase and is the one
+// sweep that completes every parked wedge batch, in adjacency order: a batch
+// whose target declined is pushed as in Push-Only mode, and a batch whose
+// target granted the pull is intersected here, in place, with the pulled
+// Adj⁺ᵐ(q) (intersectPulled). The batch's slot is read from slotOf by
+// position, so the sweep makes no map lookup.
 //
 // Under a plan, the pushdown happens here: a batch whose (p,q) edge fails
 // the edge filter is never enqueued, candidates failing the candidate
@@ -488,6 +518,7 @@ func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 	pushPull := s.opts.Mode == PushPull
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 	verts := s.g.LocalVertices(r)
+	parked := 0 // position in slotOf of the next parked batch
 	for vi := range verts {
 		p := &verts[vi]
 		n := len(p.Adj)
@@ -508,8 +539,15 @@ func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 				}
 			}
 			q := &p.Adj[j]
-			if pushPull && !sc.targ[q.Target].declined {
-				continue // granted pull: the pull phase covers this wedge batch
+			if pushPull {
+				slot := &sc.slots[sc.slotOf[parked]]
+				parked++
+				if !slot.declined {
+					if slot.reply != 0 { // else the reply was filtered empty
+						s.completePulled(r, st, cols, p, base, j, slot)
+					}
+					continue
+				}
 			}
 			rest := p.Adj[j+1:]
 			// Survivors are recorded in one pass over the columns and the
@@ -622,10 +660,11 @@ func (s *Survey[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 // --- Pull phase (§4.4) ---------------------------------------------------
 
 // pullPhase ships each granted Adj⁺ᵐ(q) — once per granting (q, source
-// rank) pair — to the source, where onPull completes every wedge batch that
-// was parked during the dry run. Target vertex metadata of pulled entries
-// is not transmitted: the puller already stores meta(r) for every candidate
-// r in its own Adj⁺ᵐ(p) (the same redundancy §4.3 notes for pushes).
+// rank) pair — to the source, where onPull decodes it into the source's
+// pulled arena; the push phase, which runs next, intersects it with the
+// wedge batches parked for q. Target vertex metadata of pulled entries is
+// not transmitted: the puller already stores meta(r) for every candidate r
+// in its own Adj⁺ᵐ(p) (the same redundancy §4.3 notes for pushes).
 // Under a plan with an edge-level filter, entries whose (q,r) edge cannot
 // appear in any matching triangle are omitted from the reply (the filtered
 // subsequence stays sorted); a reply that would carry no entries is not
@@ -693,11 +732,11 @@ func (s *Survey[VM, EM]) pullPhase(r *ygm.Rank) {
 	}
 }
 
-// onPull runs back at the source rank (the rank that hosts the pivots):
-// intersect the pulled Adj⁺ᵐ(q) against every parked local suffix for q.
-// The callback fires at Rank(p) here — metadata colocation still holds:
-// meta(p), meta(p,q), meta(p,r), meta(r) are local, meta(q) and meta(q,r)
-// arrive with the pull.
+// onPull runs back at the source rank (the rank that hosts the pivots): it
+// decodes the pulled Adj⁺ᵐ(q) once into the rank's pulled arena — each
+// entry's order-key hash and, under a δ, its timestamp computed there, once
+// — and records where it sits in q's slot, with meta(q). The push phase
+// intersects it with every wedge batch parked for q.
 func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 	st := &s.state[r.ID()]
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
@@ -708,16 +747,12 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 	if d.Err() != nil {
 		panic("core: corrupt pull header: " + d.Err().Error())
 	}
-	sc := st.sc
-	buf, _ := sc.pulled.(*[]pullEntry[EM])
-	if buf == nil {
-		buf = new([]pullEntry[EM])
-		sc.pulled = buf
-	}
-	pulled := (*buf)[:0]
+	a := st.arena
+	lo := len(a.ents)
+	timeOf := s.plan.plan.timeOf
 	prevOrd := uint32(0)
 	for i := 0; i < count; i++ {
-		var pe pullEntry[EM]
+		var pe pulledEntry[EM]
 		pe.id = d.Uvarint()
 		pe.deg = prevOrd + uint32(d.Uvarint())
 		prevOrd = pe.deg
@@ -725,55 +760,56 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 		if d.Err() != nil {
 			panic("core: corrupt pull entry: " + d.Err().Error())
 		}
-		pulled = append(pulled, pe)
-	}
-	*buf = pulled
-
-	cols := s.columns(r) // built: handlers run after the rank's phase body began
-	verts := s.g.LocalVertices(r)
-	for n := sc.targ[qid].head; n != 0; n = sc.reqs[n-1].next {
-		ref := sc.reqs[n-1].ref
-		p := &verts[ref.vert]
-		suffix := p.Adj[ref.pos+1:]
-		metaPQ := p.Adj[ref.pos].EMeta
-		e, tq := 0, uint64(0)
-		if cols != nil {
-			e = int(cols.off[ref.vert] + ref.pos)
-			if cols.ts != nil {
-				tq = cols.ts[e]
-			}
+		pe.hash = graph.Mix64(pe.id)
+		if s.plan.hasPair {
+			pe.ts = timeOf(pe.em)
 		}
-		k := 0
-		for i := range suffix {
-			cand := &suffix[i]
-			// Mirror of the push side's candidate pushdown: a filtered
-			// candidate is skipped without advancing the merge cursor.
-			if cols != nil && !cols.passes(e+1+i, tq) {
-				st.prunedCands++
-				continue
-			}
-			ck := cand.Key()
-			k = gallopPullKey(pulled, k, ck)
-			st.wedgeChecks++
-			if k < len(pulled) && pulled[k].id == cand.Target {
-				if cols != nil && !s.plan.tri(metaPQ, cand.EMeta, pulled[k].em) {
-					k++
-					continue
-				}
-				st.triangles++
-				if s.cb != nil {
-					t := &st.scratchTri
-					t.P, t.Q, t.R = p.ID, qid, cand.Target
-					t.MetaP, t.MetaQ, t.MetaR = p.Meta, metaQ, cand.TMeta
-					t.MetaPQ, t.MetaPR, t.MetaQR = metaPQ, cand.EMeta, pulled[k].em
-					s.cb(r, t)
-				}
-				k++
-			}
-		}
+		a.ents = append(a.ents, pe)
 	}
+	a.meta = append(a.meta, metaQ)
+	i, ok := st.sc.slotIdx[qid]
+	if !ok {
+		panic("core: pull reply for a target this rank did not propose")
+	}
+	slot := &st.sc.slots[i]
+	slot.lo, slot.hi, slot.reply = int32(lo), int32(len(a.ents)), int32(len(a.meta))
 }
 
-func keyOfPull[EM any](p *pullEntry[EM]) graph.OrderKey {
-	return graph.KeyOf(p.deg, p.id)
+// completePulled intersects the granted wedge batch at entry j of local
+// pivot p (whose columns start at base) with its target's pulled list, and
+// fires the callback on each match. It runs at Rank(p), where metadata
+// colocation still holds: meta(p), meta(p,q), meta(p,r) and meta(r) are
+// local, and meta(q) and meta(q,r) came with the pull.
+func (s *Survey[VM, EM]) completePulled(r *ygm.Rank, st *rankState[VM, EM], cols *planCols, p *graph.Vertex[VM, EM], base, j int, slot *targSlot) {
+	var ok []bool
+	var ts []uint64
+	tq, delta := uint64(0), uint64(noDelta)
+	if cols != nil {
+		e, end := base+j, base+len(p.Adj)
+		if cols.ok != nil {
+			ok = cols.ok[e+1 : end]
+		}
+		if cols.ts != nil {
+			ts, tq = cols.ts[e+1:end], cols.ts[e]
+		}
+		delta = cols.delta
+	}
+	pulled := st.arena.ents[slot.lo:slot.hi]
+	suffix := p.Adj[j+1:]
+	hits, checks, pruned := intersectPulled(st.sc.hits[:0], suffix, pulled, ok, ts, tq, delta)
+	st.sc.hits = hits
+	st.wedgeChecks += checks
+	st.prunedCands += pruned
+	st.triangles += uint64(len(hits))
+	if s.cb == nil {
+		return
+	}
+	t := &st.scratchTri
+	for _, h := range hits {
+		cand := &suffix[h.i]
+		t.P, t.Q, t.R = p.ID, slot.q, cand.Target
+		t.MetaP, t.MetaQ, t.MetaR = p.Meta, st.arena.meta[slot.reply-1], cand.TMeta
+		t.MetaPQ, t.MetaPR, t.MetaQR = p.Adj[j].EMeta, cand.EMeta, pulled[h.k].em
+		s.cb(r, t)
+	}
 }

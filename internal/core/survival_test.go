@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tripoll/internal/graph"
+	"tripoll/internal/serialize"
 )
 
 // survivalCase is one out-list under one plan, as the survival test sees
@@ -84,17 +85,26 @@ func checkSurvival(t *testing.T, sc survivalCase) {
 		if got := c.survivors(nil, j, n); !slices.Equal(got, want) {
 			t.Fatalf("%+v: entry %d: survivors %v, want %v", sc, j, got, want)
 		}
+		// The pulled intersection's candidate test is the same: every
+		// survivor is a wedge check and every other candidate is pruned,
+		// against a list that outlasts the suffix (the gallop loop) and an
+		// empty one (the spent-list count).
+		var ok []bool
+		var ts []uint64
 		var tq uint64
+		if c.ok != nil {
+			ok = c.ok[j+1 : n]
+		}
 		if c.ts != nil {
-			tq = c.ts[j]
+			ts, tq = c.ts[j+1:n], c.ts[j]
 		}
-		survives := make([]bool, n-j-1)
-		for _, k := range want {
-			survives[k] = true
-		}
-		for k := j + 1; k < n; k++ {
-			if c.passes(k, tq) != survives[k-j-1] {
-				t.Fatalf("%+v: entry %d: passes(%d) disagrees with the survivors %v", sc, j, k, want)
+		suffix := make([]graph.OutEdge[serialize.Unit, uint64], n-j-1)
+		last := []pulledEntry[uint64]{{deg: math.MaxUint32}}
+		for _, pulled := range [][]pulledEntry[uint64]{last, nil} {
+			_, checks, pruned := intersectPulled(nil, suffix, pulled, ok, ts, tq, c.delta)
+			if checks != uint64(len(want)) || pruned != uint64(len(suffix)-len(want)) {
+				t.Fatalf("%+v: entry %d: pulled intersection counts %d checks, %d pruned; survivors %v of %d",
+					sc, j, checks, pruned, want, len(suffix))
 			}
 		}
 	}

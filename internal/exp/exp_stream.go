@@ -54,8 +54,16 @@ func AblationStream(cfg Config) *Report {
 			type outcome struct {
 				msgs  int64
 				bytes int64
+				// phase splits bytes as mutate, dry run, push, pull; the
+				// full recompute's mutate is its snapshot build.
+				phase [4]int64
 				dur   time.Duration
 				m     Measured
+			}
+			addPhases := func(o *outcome, mutate int64, res core.Result) {
+				for i, b := range [4]int64{mutate, res.DryRun.Bytes, res.Push.Bytes, res.Pull.Bytes} {
+					o.phase[i] += b
+				}
 			}
 			type answers struct {
 				count uint64
@@ -102,6 +110,7 @@ func AblationStream(cfg Config) *Report {
 					inc.m = inc.m.Add(advSpan.End())
 					inc.msgs += streamMsgs(ares)
 					inc.bytes += streamBytes(ares)
+					addPhases(&inc, ares.Mutate.Bytes, ares)
 					inc.dur += ares.Total
 					rebuilt = rebuilt || ares.Rebuilt
 					for k, t := range live {
@@ -135,6 +144,7 @@ func AblationStream(cfg Config) *Report {
 				inc.m = inc.m.Add(ingSpan.End())
 				inc.msgs += streamMsgs(res)
 				inc.bytes += streamBytes(res)
+				addPhases(&inc, res.Mutate.Bytes, res)
 				inc.dur += res.Total
 				rebuilt = rebuilt || res.Rebuilt
 				s.Snapshot()
@@ -176,6 +186,7 @@ func AblationStream(cfg Config) *Report {
 				full.m = full.m.Add(fullSpan.End())
 				full.msgs += buildStats.MessagesSent + msgsOf(fres)
 				full.bytes += buildStats.BytesSent + bytesOf(fres)
+				addPhases(&full, buildStats.BytesSent, fres)
 				full.dur += time.Since(t0)
 
 				if mismatched == "" &&
@@ -210,8 +221,10 @@ func AblationStream(cfg Config) *Report {
 				rep.notef("UNEXPECTED: incremental path fell back to an epoch rebuild on chronological input (%s/%s)",
 					d.Name, mode)
 			case inc.msgs >= full.msgs || inc.bytes >= full.bytes:
-				rep.notef("UNEXPECTED: incremental maintenance did not strictly reduce traffic on %s/%s: %d→%d msgs, %d→%d bytes",
-					d.Name, mode, full.msgs, inc.msgs, full.bytes, inc.bytes)
+				rep.notef("UNEXPECTED: incremental maintenance did not strictly reduce traffic on %s/%s: %d→%d msgs, %d→%d bytes; bytes by phase (mutate/dry run/push/pull): full %d/%d/%d/%d, incremental %d/%d/%d/%d",
+					d.Name, mode, full.msgs, inc.msgs, full.bytes, inc.bytes,
+					full.phase[0], full.phase[1], full.phase[2], full.phase[3],
+					inc.phase[0], inc.phase[1], inc.phase[2], inc.phase[3])
 			default:
 				rep.notef("%s/%s: messages %s→%s (−%.1f%%), bytes %s→%s (−%.1f%%) across %d batches",
 					d.Name, mode,
