@@ -55,11 +55,13 @@ func gallopOutKey[VM, EM any](adj []graph.OutEdge[VM, EM], k int, ck graph.Order
 	return lo
 }
 
-// pulledEntry is one decoded entry of a pulled Adj⁺ᵐ(q): the target r, its
+// pulledEntry is one decoded entry of a pulled Adj⁺ᵐ(q): the target r's
 // ordering weight and Mix64 hash (so a gallop probe compares cached words),
 // the plan accessor's timestamp of (q,r) (0 without a δ), and meta(q,r).
+// Mix64 is a bijection, so the hash stands for r: two distinct ids never tie
+// on it, which makes (weight, hash) the whole order key and hash equality a
+// match, and the id need not be kept.
 type pulledEntry[EM any] struct {
-	id   uint64
 	hash uint64
 	ts   uint64
 	deg  uint32
@@ -67,8 +69,7 @@ type pulledEntry[EM any] struct {
 }
 
 // before reports whether x sorts before the vertex with ordering weight deg
-// and hash Mix64(id). Mix64 is a bijection, so two distinct ids never tie on
-// the hash and the order key's last word, the id, need not be read.
+// and hash Mix64(id).
 func (x *pulledEntry[EM]) before(deg uint32, hash uint64) bool {
 	return x.deg < deg || (x.deg == deg && x.hash < hash)
 }
@@ -134,10 +135,11 @@ func intersectPulled[VM, EM any](hits []pullHit, suffix []graph.OutEdge[VM, EM],
 		}
 		checks++
 		c := &suffix[i]
-		if h := graph.Mix64(c.Target); pulled[k].before(c.TOrd, h) {
+		h := graph.Mix64(c.Target)
+		if pulled[k].before(c.TOrd, h) {
 			k = gallopPulled(pulled, k+1, c.TOrd, h)
 		}
-		if k < len(pulled) && pulled[k].id == c.Target {
+		if k < len(pulled) && pulled[k].hash == h {
 			if ts == nil || spread3(tq, tr, pulled[k].ts) <= delta {
 				hits = append(hits, pullHit{i: int32(i), k: int32(k)})
 			}

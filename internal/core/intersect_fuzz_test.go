@@ -148,9 +148,10 @@ func FuzzGallopIntersect(f *testing.F) {
 // pruned candidates, with and without the ok and ts columns. Each input byte
 // pair is one entry (a target id from a universe of 64, so the lists
 // overlap, and a timestamp); a vertex's ordering weight takes one of three
-// values, so equal weights are common and the order falls to the hash. Two
-// distinct ids never tie on the hash (Mix64 is a bijection), so a full key
-// tie is an equal id: a match. Empty suffixes and empty lists are seeds.
+// values, so equal weights are common and the order falls to the hash. The
+// nested loop matches on ids, the kernel on hashes: two distinct ids never
+// tie on the hash (Mix64 is a bijection), so a full key tie is an equal id.
+// Empty suffixes and empty lists are seeds.
 func FuzzPulledIntersect(f *testing.F) {
 	f.Add([]byte{1, 10, 2, 12, 3, 30, 9, 9}, []byte{2, 11, 3, 40, 9, 9}, uint64(0xff), uint8(10), uint8(5), uint8(3))
 	f.Add([]byte{}, []byte{1, 1}, uint64(0), uint8(0), uint8(0), uint8(0))
@@ -195,7 +196,7 @@ func FuzzPulledIntersect(f *testing.F) {
 		}
 		pulled := make([]pulledEntry[uint64], len(pe))
 		for k, e := range pe {
-			pulled[k] = pulledEntry[uint64]{id: e.id, hash: graph.Mix64(e.id), deg: weight(e.id), em: e.ts}
+			pulled[k] = pulledEntry[uint64]{hash: graph.Mix64(e.id), deg: weight(e.id), em: e.ts}
 			if ts != nil {
 				pulled[k].ts = e.ts
 			}
@@ -213,8 +214,8 @@ func FuzzPulledIntersect(f *testing.F) {
 				continue
 			}
 			wantChecks++
-			for k := range pulled {
-				if pulled[k].id != c.Target {
+			for k := range pe {
+				if pe[k].id != c.Target {
 					continue
 				}
 				if ts == nil || max(tq, ts[i], pulled[k].ts)-min(tq, ts[i], pulled[k].ts) <= delta {

@@ -32,10 +32,7 @@ import (
 // The snapshot column calls the accessor on every entry, whatever the
 // predicate answers for it. Before the plan columns (ISSUE 22's parent) the
 // predicated plan read 26 333…31 599 accessor and 19 939…27 715 predicate
-// calls on every Run — a call or two per wedge. Before the pulled
-// intersection moved into the push sweep, push-pull called MatchEdges on
-// pulled matches too: degree/ranks=1 read {6374, 6383} and {2217, 2226},
-// and its predicate-free surveys {7646, 3489}, as push-only still does.
+// calls on every Run — a call or two per wedge.
 func TestPlanEvalBudget(t *testing.T) {
 	events := redditEvents(800, 40_000, 7)
 	span := events[len(events)-1].Time - events[0].Time

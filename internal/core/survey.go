@@ -488,7 +488,11 @@ func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 		panic("core: corrupt decline message: " + d.Err().Error())
 	}
 	sc := s.state[r.ID()].sc
-	sc.slots[sc.slotIdx[q]].declined = true
+	i, ok := sc.slotIdx[q]
+	if !ok {
+		panic("core: decline for a target this rank did not propose")
+	}
+	sc.slots[i].declined = true
 }
 
 // --- Push phase (Alg. 1; §4.3) -----------------------------------------
@@ -753,14 +757,13 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 	prevOrd := uint32(0)
 	for i := 0; i < count; i++ {
 		var pe pulledEntry[EM]
-		pe.id = d.Uvarint()
+		pe.hash = graph.Mix64(d.Uvarint())
 		pe.deg = prevOrd + uint32(d.Uvarint())
 		prevOrd = pe.deg
 		pe.em = emC.Decode(d)
 		if d.Err() != nil {
 			panic("core: corrupt pull entry: " + d.Err().Error())
 		}
-		pe.hash = graph.Mix64(pe.id)
 		if s.plan.hasPair {
 			pe.ts = timeOf(pe.em)
 		}
