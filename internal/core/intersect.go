@@ -8,14 +8,15 @@ import (
 
 // Sorted-list intersection primitives for the survey and stream hot paths.
 //
-// The merge cursors of the survey's intersections used to advance
-// linearly: fine when the two lists are the same length, quadratic in feel
-// when a short pushed suffix is intersected against a hub's adjacency (the cursor crawls over
-// thousands of entries per candidate). Galloping — a bounded linear probe,
-// then exponential search, then binary search over the probed range — costs
-// O(log gap) per advance; the linear prelude keeps the balanced-list case
-// (cursors advancing a step or two) at exactly the old loop's cost instead
-// of paying the exponential machinery's constant factor on every step.
+// The merge cursors of the survey's intersections used to advance linearly:
+// fine when the two lists are the same length, quadratic in feel when a
+// short pushed suffix is intersected against a hub's adjacency (the cursor
+// crawls over thousands of entries per candidate). Galloping — a bounded
+// linear probe, then exponential search, then binary search over the probed
+// range — costs O(log gap) per advance; the linear prelude keeps the
+// balanced-list case (cursors advancing a step or two) at exactly the old
+// loop's cost instead of paying the exponential machinery's constant factor
+// on every step.
 //
 // The functions are monomorphized per call-site element type instead of
 // taking a comparison closure: these run per candidate per message, and a

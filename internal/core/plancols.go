@@ -158,11 +158,11 @@ type pullHit struct {
 
 // surveyScratch is the part of a rank's survey state whose types do not
 // depend on the graph's metadata types (but for pulled): the push-pull
-// negotiation tables, the buffers behind the survey's own columns (ok and
-// parked) and the survivor list. All of it is flat or cleared in place, and
-// it is pooled across surveys (taken at a Survey's first Run, returned by
-// Close), so a query on a graph that has been queried before allocates
-// nothing proportional to |E|. It never holds a snapshot column: those stay
+// negotiation tables and pulled arena, the buffers behind the survey's own
+// columns (ok and parked), and the survivor and match lists. All of it is
+// flat or cleared in place, and it is pooled across surveys (taken at a
+// Survey's first Run, returned by Close), so a query on a graph that has
+// been queried before allocates nothing proportional to |E|. It never holds a snapshot column: those stay
 // with the snapshot.
 type surveyScratch struct {
 	// Source side. slotIdx maps a target vertex to its slot, and slots holds
